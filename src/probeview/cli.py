@@ -86,6 +86,19 @@ def _fmt_float(value: float) -> str:
     return "%.17g" % value
 
 
+def _fmt_floats(values: np.ndarray) -> list[str]:
+    """_fmt_float of every element in C order, in one pass over the array.
+
+    Adding 0.0 turns -0.0 into 0.0, which %.17g prints as "0".
+    """
+    return ["%.17g" % v for v in (np.ravel(values) + 0.0).tolist()]
+
+
+def _complex_cells(elems: np.ndarray) -> tuple[str, ...]:
+    """Formatted (re, im) of every element, interleaved in C order."""
+    return tuple(_fmt_floats(np.stack([elems.real, elems.imag], axis=-1)))
+
+
 def _fmt_number(value: Union[int, float]) -> str:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
@@ -106,8 +119,20 @@ def _json_scalar(value) -> Optional[str]:
     return None
 
 
+def _render_matrix(elems: np.ndarray, indent: int) -> str:
+    """A complex matrix as rows of {"re": a, "im": b} objects, one per line."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    cell = " " * (indent + 4) + '{"re": %s, "im": %s}'
+    rows, cols = elems.shape
+    row = inner + "[\n" + ",\n".join([cell] * cols) + "\n" + inner + "]"
+    return ("[\n" + ",\n".join([row] * rows) + "\n" + pad + "]") % _complex_cells(elems)
+
+
 def _render_json(value, indent: int = 0) -> str:
     """Deterministic pretty JSON with %.17g floats; no external state."""
+    if isinstance(value, np.ndarray):
+        return _render_matrix(value, indent)
     scalar = _json_scalar(value)
     if scalar is not None:
         return scalar
@@ -128,10 +153,6 @@ def _render_json(value, indent: int = 0) -> str:
             return "[" + ", ".join(parts) + "]"
         return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
     raise ValidationError(f"cannot serialize {type(value).__name__}")
-
-
-def _complex_pair(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
 
 
 def _csv_row(values) -> str:
@@ -224,7 +245,7 @@ def _family_from_descriptor(obj, cutoff: int, pure_only: bool = False) -> StateF
         raise ValidationError(f"mixture components must be pure states, got {family!r}")
     if family == "thermal":
         beta_energy = _number_from(obj, "betaE", "thermal")
-        energy = float(obj.get("energy", 1.0))
+        energy = _number_from(obj, "energy", "thermal") if "energy" in obj else 1.0
         if beta_energy <= 0.0 or energy <= 0.0:
             raise ValidationError("thermal descriptor needs betaE > 0 and energy > 0")
         return Thermal(beta_energy / energy, energy)
@@ -283,6 +304,14 @@ def _reduce_one(family: StateFamily, q0sq: float, cutoff: int, tol: float) -> De
     raise ValidationError(f"unknown state family: {family!r}")
 
 
+def _csv_matrix_rows(q0sq: float, elems: np.ndarray) -> str:
+    """The q0sq,i,j,re,im rows of one matrix, joined by newlines."""
+    q = _fmt_float(q0sq)
+    dim = elems.shape[0]
+    index = [f"{i},{j},%s,%s" for i in range(dim) for j in range(dim)]
+    return (f"{q}," + f"\n{q},".join(index)) % _complex_cells(elems)
+
+
 def _cmd_reduce(config: RunConfig):
     results = []
     for q0sq in config.q0sq:
@@ -291,23 +320,20 @@ def _cmd_reduce(config: RunConfig):
             {
                 "q0sq": q0sq,
                 "dim": rho.dim,
-                "rho0": [[_complex_pair(z) for z in row] for row in rho.elems.tolist()],
+                "rho0": rho.elems,
                 "purity": purity(rho),
                 "mean_occupation": number_expectation(rho),
             }
         )
-    payload = {"command": "reduce", "cutoff": config.cutoff}
-    if len(results) == 1:
-        payload.update(results[0])
-    else:
-        payload["results"] = results
+    if config.output_format == "json":
+        payload = {"command": "reduce", "cutoff": config.cutoff}
+        if len(results) == 1:
+            payload.update(results[0])
+        else:
+            payload["results"] = results
+        return payload, None, 0
     lines = [f"# command = reduce", f"# cutoff = {config.cutoff}", "q0sq,i,j,re,im"]
-    for entry in results:
-        dim = entry["dim"]
-        for i in range(dim):
-            for j in range(dim):
-                pair = entry["rho0"][i][j]
-                lines.append(_csv_row((entry["q0sq"], i, j, pair["re"], pair["im"])))
+    lines.extend(_csv_matrix_rows(entry["q0sq"], entry["rho0"]) for entry in results)
     for entry in results:
         lines.append(
             "# q0sq = {} dim = {} purity = {} mean_occupation = {}".format(
@@ -317,7 +343,7 @@ def _cmd_reduce(config: RunConfig):
                 _fmt_float(entry["mean_occupation"]),
             )
         )
-    return payload, lines, 0
+    return None, lines, 0
 
 
 def _sweep_payload(command: str, sweep):
@@ -516,6 +542,7 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _dispatch(config: RunConfig, args: argparse.Namespace):
+    """(JSON payload, CSV lines, exit code); reduce builds only the one its format needs."""
     if config.command == "reduce":
         return _cmd_reduce(config)
     if config.command == "sweep-purity":

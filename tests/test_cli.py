@@ -7,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from probeview.cli import main
+from probeview.cli import _fmt_float, _fmt_floats, main
 
 
 def run_cli(capsys, *argv):
@@ -321,6 +323,16 @@ class TestValidationExits:
             ),
             ("reduce", "--alpha", "nope", "--q0sq", "0.5"),
             ("sweep-thermal", "--q0sq", "0:1:0.5"),
+            *(
+                (
+                    "reduce",
+                    "--state",
+                    '{"family": "thermal", "betaE": 1, "energy": %s}' % energy,
+                    "--q0sq",
+                    "0.5",
+                )
+                for energy in ('"abc"', "null", "[1]", "true")
+            ),
         ],
     )
     def test_exit_two(self, capsys, argv):
@@ -408,3 +420,23 @@ class TestDeterminism:
         second = subprocess.run(argv, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout  # sanity: the runs actually produced output
+
+
+class TestBatchFormatter:
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @example([0.0])
+    @example([-0.0])
+    @example([5e-324, -5e-324])
+    @example([1e-190])
+    @example([math.inf, -math.inf])
+    @example([math.nan])
+    def test_matches_scalar_formatter_and_round_trips(self, values):
+        strings = _fmt_floats(np.array(values))
+        assert strings == [_fmt_float(v) for v in values]
+        for text, value in zip(strings, values):
+            if not math.isnan(value):
+                assert float(text) == value
+
+    def test_matrix_in_row_major_order(self):
+        values = np.arange(6.0).reshape(2, 3) - 2.5
+        assert _fmt_floats(values) == [_fmt_float(v) for v in values.ravel()]
