@@ -436,7 +436,3 @@ class TestBatchFormatter:
         for text, value in zip(strings, values):
             if not math.isnan(value):
                 assert float(text) == value
-
-    def test_matrix_in_row_major_order(self):
-        values = np.arange(6.0).reshape(2, 3) - 2.5
-        assert _fmt_floats(values) == [_fmt_float(v) for v in values.ravel()]
