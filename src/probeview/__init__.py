@@ -2,10 +2,11 @@
 
 Restricting a single-mode state to the part of its mode inside a region
 (overlap amplitude q0) and tracing out the rest is a pure-loss channel
-of transmissivity q0**2.  This package provides the general series for
-the reduced matrix elements, closed forms for number, coherent, and
-thermal inputs, an independent brute-force two-mode verifier, and sweep
-helpers plus a CLI that emit the derived curves as CSV/JSON.
+of transmissivity q0**2.  This package provides one general kernel for
+the reduced state of pure inputs and their mixtures, closed forms for
+number, coherent, and thermal inputs, an independent brute-force two-mode
+verifier, and sweep helpers plus a CLI that emit the derived curves as
+CSV/JSON.
 """
 
 from .analysis import ConsistencyError, SweepResult, cat_purity, purity, purity_sweep, thermal_sweep

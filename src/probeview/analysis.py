@@ -1,7 +1,7 @@
 """Derived quantities: purity and parameter sweeps over the region overlap.
 
 Sweeps recompute the closed forms directly (binomial purity, effective
-inverse temperature) rather than caching series output; they are exact
+inverse temperature) rather than caching kernel output; they are exact
 and fast, and they are what the CLI serializes.
 """
 
@@ -123,12 +123,12 @@ def cat_purity(q0sq: float) -> float:
     """Purity of the reduced equal superposition (|0> + |1>)/sqrt(2).
 
     Evaluates the closed form (2 - q0^2 + q0^4)/2 and cross-checks it
-    against the purity of the series reduction.
+    against the purity of the general kernel's reduction.
 
     Raises
     ------
     ConsistencyError
-        If closed form and series disagree beyond 1e-10, which would
+        If closed form and kernel disagree beyond 1e-10, which would
         indicate an implementation bug.
     """
     q0sq = float(q0sq)
@@ -139,6 +139,6 @@ def cat_purity(q0sq: float) -> float:
     numeric = purity(reduce_pure_general(cat, ModeSplit.from_q0sq(q0sq)).rho0)
     if abs(closed - numeric) > _CAT_CHECK_TOL:
         raise ConsistencyError(
-            f"cat purity closed form {closed!r} vs series {numeric!r} at q0sq = {q0sq!r}"
+            f"cat purity closed form {closed!r} vs kernel {numeric!r} at q0sq = {q0sq!r}"
         )
     return closed

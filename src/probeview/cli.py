@@ -284,6 +284,7 @@ def _reduce_one(family: StateFamily, q0sq: float, cutoff: int, tol: float) -> De
     split = ModeSplit.from_q0sq(q0sq)
     policy = TruncationPolicy(cutoff, tail_tol=tol)
     if isinstance(family, Number):
+        materialize(family, policy)  # the cutoff must hold |n>, as for a mixture component
         return reduce_number_state(family.n, split)
     if isinstance(family, Coherent):
         reduced = reduce_coherent(family.alpha, split)
@@ -298,9 +299,9 @@ def _reduce_one(family: StateFamily, q0sq: float, cutoff: int, tol: float) -> De
         psi = family.state
         if psi.dim > cutoff + 1:
             psi = materialize(family, policy).state
-        return reduce_pure_general(psi, split, tol).rho0
+        return reduce_pure_general(psi, split).rho0
     if isinstance(family, Mixture):
-        return reduce_mixed(family, split, tol).rho0
+        return reduce_mixed(family, split).rho0
     raise ValidationError(f"unknown state family: {family!r}")
 
 
@@ -400,7 +401,7 @@ def _cmd_oracle_check(config: RunConfig, max_n: int, seed: int):
     for psi in random_fock_vectors(_RANDOM_STATE_COUNT, max_n, seed):
         for q0sq in config.q0sq:
             split = ModeSplit.from_q0sq(q0sq)
-            series = reduce_pure_general(psi, split, config.tol).rho0
+            series = reduce_pure_general(psi, split).rho0
             numeric = partial_trace_numeric(expand_two_mode(psi, split, max(psi.dim - 1, 1)))
             worst_random = max(worst_random, compare_states(series, numeric).max_abs_diff)
             cases_random += 1

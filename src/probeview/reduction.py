@@ -5,12 +5,18 @@ same as sending it through a lossy channel of transmissivity q0**2: the
 matrix elements of the reduced state are
 
     <i|rho0|j> = sum_o psi_{o+i} conj(psi_{o+j})
-                 * sqrt((o+i)! (o+j)!) / (o! sqrt(i! j!))
-                 * q1**(2*o) * q0**(i+j)          (j >= i),
+                 * sqrt(C(o+i, i) C(o+j, j)) * q0**(i+j) * q1**(2*o).
 
-with the conjugate expression for j < i.  For a state supported on
-|0>..|N| the sum terminates at o = N - max(i, j), so the series is exact.
-Number, coherent, and thermal inputs additionally admit closed forms.
+The sum factorises as rho0 = G G^dagger with
+
+    G[k, o] = psi_{k+o} * sqrt(C(k+o, k) * q0**(2k) * q1**(2o)),
+
+whose column o is the Kraus operator K_o of the pure-loss channel applied
+to psi (Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)).  For a state
+supported on |0>..|N> every sum is finite, so the result is exact up to
+rounding; a mixture reduces to sum_c w_c G_c G_c^dagger in one matrix
+product.  Number, coherent, and thermal inputs additionally admit closed
+forms.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fock import (
     Coherent,
@@ -49,11 +56,9 @@ _EXACT_COMB_LIMIT = 1000
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """Reduced state plus bookkeeping about the series evaluation."""
+    """Reduced state of the general kernel."""
 
     rho0: DensityMatrix
-    series_terms_used: int
-    tail_bound: float
 
 
 @dataclass(frozen=True)
@@ -112,28 +117,53 @@ def reduce_number_state(n: int, split: ModeSplit) -> DensityMatrix:
     return DensityMatrix(np.diag(diag.astype(complex)))
 
 
-def _series_kernel(psi: np.ndarray, q0: float, q1sq: float) -> np.ndarray:
-    """Evaluate the reduction series for every (i, j) of a support-N input."""
-    dim = psi.size
-    rho = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(i, dim):
-            length = dim - j
-            # weights K(o) via the exact term ratio
-            # K(o+1)/K(o) = q1^2 sqrt((o+1+i)(o+1+j)) / (o+1); K(0) = q0^(i+j)
-            weights = np.empty(length)
-            weights[0] = q0 ** (i + j)
-            if length > 1:
-                o = np.arange(1.0, length)
-                weights[1:] = weights[0] * np.cumprod(q1sq * np.sqrt((o + i) * (o + j)) / o)
-            value = weights @ (psi[i : i + length] * np.conj(psi[j : j + length]))
-            rho[i, j] = value
-            rho[j, i] = np.conj(value)
-    return rho
+def _loss_amplitudes(dim: int, split: ModeSplit) -> np.ndarray:
+    """A[k, o] = sqrt(C(k+o, k) * q0**(2k) * q1**(2o)) for k, o < dim.
+
+    Each entry is the square root of a binomial probability, so it is
+    built in log space from a table of log-factorials and never overflows.
+    At q0 = 1 the o = 0 column is exactly 1 and every other column is 0.
+    """
+    log_fact = np.array([math.lgamma(n + 1.0) for n in range(2 * dim - 1)])
+    with np.errstate(divide="ignore"):
+        log_q = 0.5 * np.log([[split.q0sq], [split.q1sq]])
+    powers = np.zeros((2, dim))  # n * log(q), exactly 0 at n = 0 even where log(q) = -inf
+    powers[:, 1:] = np.arange(1, dim) * log_q
+    row, col = 0.5 * log_fact[:dim] - powers
+    log_amp = 0.5 * sliding_window_view(log_fact, dim)
+    log_amp -= row[:, None]
+    log_amp -= col
+    return np.exp(log_amp, out=log_amp)
 
 
-def reduce_pure_general(psi: FockVector, split: ModeSplit, tol: float = 1e-10) -> ReductionReport:
-    """Reduce a pure state to the region via the general matrix-element series.
+def _reduced_elems(
+    weights: tuple[float, ...], states: tuple[FockVector, ...], split: ModeSplit
+) -> np.ndarray:
+    """sum_c w_c G_c G_c^dagger over the pure components c, as one matrix product.
+
+    At q0 = 1 every G_c is psi_c in column 0 and zeros elsewhere, so the
+    result is exactly sum_c w_c psi_c psi_c^dagger.
+    """
+    dim = max(state.dim for state in states)
+    if split.q0 == 0.0:
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[0, 0] = 1.0
+        return rho
+    amps = _loss_amplitudes(dim, split)
+    factors = []
+    for state in states:
+        # G_c[k, o] = psi_c[k+o] * A[k, o]: column o is the Kraus operator K_o applied to psi_c
+        padded = np.zeros(dim + state.dim - 1, dtype=complex)
+        padded[: state.dim] = state.coeffs
+        factors.append(amps[:, : state.dim] * sliding_window_view(padded, state.dim))
+    stacked = factors[0] if len(factors) == 1 else np.hstack(factors)
+    weighted = stacked * np.repeat(weights, [state.dim for state in states])
+    # conjugating in place, not into a copy, keeps the peak memory down
+    return weighted @ np.conjugate(stacked, out=stacked).T
+
+
+def reduce_pure_general(psi: FockVector, split: ModeSplit) -> ReductionReport:
+    """Reduce a pure state to the region: rho0 = G G^dagger.
 
     Parameters
     ----------
@@ -141,51 +171,26 @@ def reduce_pure_general(psi: FockVector, split: ModeSplit, tol: float = 1e-10) -
         Normalized amplitudes psi_0..psi_N.
     split
         Region/complement amplitudes (q0, q1).
-    tol
-        Requested bound on neglected series mass.  Finite-support inputs
-        terminate the series exactly, so the reported tail bound is 0.
 
     Returns
     -------
     ReductionReport
-        Reduced density matrix of dimension N+1, the largest summation
-        index reached, and the tail bound.
+        Reduced density matrix of dimension N+1.
     """
     if not isinstance(psi, FockVector):
         raise ValidationError("input state must be a FockVector")
-    if not 0.0 < float(tol):
-        raise ValidationError(f"tolerance must be positive, got {tol!r}")
-    dim = psi.dim
-    if split.q0 == 1.0:
-        rho = np.outer(psi.coeffs, psi.coeffs.conj())
-        return ReductionReport(DensityMatrix(rho), 0, 0.0)
-    if split.q0 == 0.0:
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return ReductionReport(DensityMatrix(rho), 0, 0.0)
-    rho = _series_kernel(psi.coeffs, split.q0, split.q1sq)
-    return ReductionReport(DensityMatrix(rho), dim - 1, 0.0)
+    return ReductionReport(DensityMatrix(_reduced_elems((1.0,), (psi,), split)))
 
 
-def reduce_mixed(family: Mixture, split: ModeSplit, tol: float = 1e-10) -> ReductionReport:
-    """Reduce a convex mixture of pure states, component by component.
+def reduce_mixed(family: Mixture, split: ModeSplit) -> ReductionReport:
+    """Reduce a convex mixture of pure states: rho0 = sum_c w_c G_c G_c^dagger.
 
     The partial trace is linear, so the reduced mixture is the weighted
-    sum of the reduced components (padded to a common dimension).
+    sum of the reduced components, of the largest component dimension.
     """
     if not isinstance(family, Mixture):
         raise ValidationError("input must be a Mixture")
-    dim = max(state.dim for state in family.states)
-    rho = np.zeros((dim, dim), dtype=complex)
-    terms = 0
-    tail = 0.0
-    for weight, state in zip(family.weights, family.states):
-        report = reduce_pure_general(state, split, tol)
-        block = report.rho0.elems
-        rho[: block.shape[0], : block.shape[1]] += weight * block
-        terms = max(terms, report.series_terms_used)
-        tail += weight * report.tail_bound
-    return ReductionReport(DensityMatrix(rho), terms, tail)
+    return ReductionReport(DensityMatrix(_reduced_elems(family.weights, family.states, split)))
 
 
 def reduce_coherent(alpha: complex, split: ModeSplit) -> Coherent:

@@ -333,6 +333,7 @@ class TestValidationExits:
                 )
                 for energy in ('"abc"', "null", "[1]", "true")
             ),
+            ("reduce", "--state", '{"family": "number", "n": 300}', "--q0sq", "0.5", "--cutoff", "8"),
         ],
     )
     def test_exit_two(self, capsys, argv):

@@ -1,5 +1,6 @@
 """Reduction series, closed forms, and the effective temperature map."""
 
+import functools
 import math
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import cat_vector, number_vector, spectral_mixture, split_from_amplitude
+from helpers import cat_vector, number_vector, pad_matrix, spectral_mixture, split_from_amplitude
 from probeview import (
     Coherent,
     FockVector,
@@ -21,8 +22,10 @@ from probeview import (
     beta_prime,
     binomial_pmf,
     compare_states,
+    expand_two_mode,
     materialize,
     number_expectation,
+    partial_trace_numeric,
     reduce_coherent,
     reduce_mixed,
     reduce_number_state,
@@ -120,7 +123,6 @@ class TestReducePureGeneral:
     def test_identity_split_keeps_state(self):
         report = reduce_pure_general(number_vector(1), ModeSplit(1.0, 0.0))
         assert np.array_equal(report.rho0.elems, np.diag([0.0, 1.0]).astype(complex))
-        assert report.tail_bound == 0.0
 
     def test_equal_superposition_frozen_matrix(self):
         # brute-force two-mode value: off-diagonal is q0/2 = 1/(2 sqrt 2)
@@ -139,15 +141,11 @@ class TestReducePureGeneral:
 
     def test_report_bookkeeping(self):
         report = reduce_pure_general(_random_state(5), ModeSplit.from_q0sq(0.4))
-        assert report.series_terms_used == 4
-        assert report.tail_bound == 0.0
         assert report.rho0.dim == 5
 
     def test_input_validation(self):
         with pytest.raises(ValidationError):
             reduce_pure_general(np.array([1.0, 0.0]), ModeSplit.from_q0sq(0.5))
-        with pytest.raises(ValidationError):
-            reduce_pure_general(number_vector(1), ModeSplit.from_q0sq(0.5), tol=0.0)
 
     @pytest.mark.parametrize("n", range(13))
     def test_number_states_match_closed_form(self, n):
@@ -221,6 +219,101 @@ class TestReduceMixed:
     def test_rejects_non_mixture(self):
         with pytest.raises(ValidationError):
             reduce_mixed(number_vector(1), ModeSplit.from_q0sq(0.5))
+
+
+_LARGE_Q0SQ = (1e-6, 0.5, 1.0 - 1e-6)
+
+
+def _seeded_state(dim: int, seed: int) -> FockVector:
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return FockVector(raw / np.linalg.norm(raw))
+
+
+@functools.lru_cache(maxsize=None)
+def _large_reduction(support: int, q0sq: float):
+    """One random state of support N and its reduction, shared by the large-N checks."""
+    psi = _seeded_state(support + 1, support)
+    return psi, reduce_pure_general(psi, ModeSplit.from_q0sq(q0sq)).rho0
+
+
+def _mp_element(psi: np.ndarray, q0sq: float, i: int, j: int) -> complex:
+    """<i|rho0|j> from the series, summed with 40 significant digits."""
+    with mpmath.workdps(40):
+        q0sq_mp = mpmath.mpf(q0sq)
+        q1sq_mp = 1 - q0sq_mp
+        total = mpmath.mpc(0)
+        weight = mpmath.mpf(1)  # sqrt(C(o+i, i) C(o+j, j)) q1**(2o), exact term ratio
+        for o in range(psi.size - max(i, j)):
+            if o:
+                weight *= q1sq_mp * mpmath.sqrt(mpmath.mpf((o + i) * (o + j))) / o
+            total += mpmath.mpc(psi[o + i]) * mpmath.mpc(psi[o + j]).conjugate() * weight
+        return complex(total * q0sq_mp ** (mpmath.mpf(i + j) / 2))
+
+
+class TestKernelLargeN:
+    # parametrized, not hypothesis: each DensityMatrix check at N = 1024 runs
+    # eigvalsh for a sizable fraction of a second
+    @pytest.mark.parametrize("support", [256, 1024])
+    @pytest.mark.parametrize("q0sq", _LARGE_Q0SQ)
+    def test_trace_and_mean_occupation(self, support, q0sq):
+        psi, rho = _large_reduction(support, q0sq)
+        assert rho.dim == support + 1
+        assert abs(complex(np.trace(rho.elems)) - 1.0) <= 1e-10
+        expected = q0sq * number_expectation(psi)
+        assert abs(number_expectation(rho) - expected) <= 1e-10 * expected
+
+    def test_small_overlap_at_n_1100_does_not_overflow(self):
+        # the former pairwise series overflowed to inf here and failed validation
+        psi = _seeded_state(1101, 1100)
+        rho = reduce_pure_general(psi, ModeSplit.from_q0sq(1e-4)).rho0
+        assert rho.dim == 1101
+        assert abs(complex(np.trace(rho.elems)) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("q0sq", _LARGE_Q0SQ)
+    def test_matches_high_precision_series(self, q0sq):
+        psi, rho = _large_reduction(1024, q0sq)
+        for i, j in [(0, 0), (0, 1), (2, 7), (40, 41), (300, 333)]:
+            expected = _mp_element(psi.coeffs, q0sq, i, j)
+            assert abs(rho.elems[i, j] - expected) <= 1e-13
+
+
+def _oracle_reduction(states, weights, split, dim):
+    """sum_c w_c Tr_1 |psi_c><psi_c| on the explicit two-mode basis, cut at dim - 1."""
+    cutoff = max(dim - 1, 1)
+    return sum(
+        weight * pad_matrix(partial_trace_numeric(expand_two_mode(psi, split, cutoff)).elems, cutoff + 1)
+        for weight, psi in zip(weights, states)
+    )
+
+
+class TestKernelMatchesOracle:
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_pure(self, dim, q0sq, seed):
+        psi = _seeded_state(dim, seed)
+        split = ModeSplit.from_q0sq(q0sq)
+        rho = reduce_pure_general(psi, split).rho0.elems
+        oracle = _oracle_reduction((psi,), (1.0,), split, dim)
+        assert np.max(np.abs(pad_matrix(rho, oracle.shape[0]) - oracle)) <= 1e-12
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=64), min_size=2, max_size=4, unique=True),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_mixture_with_unequal_supports(self, dims, q0sq, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(0.1, 1.0, len(dims))
+        weights = tuple(float(w) for w in raw / raw.sum())
+        states = tuple(_seeded_state(d, seed + k) for k, d in enumerate(dims))
+        split = ModeSplit.from_q0sq(q0sq)
+        rho = reduce_mixed(Mixture(weights, states), split).rho0.elems
+        oracle = _oracle_reduction(states, weights, split, max(dims))
+        assert np.max(np.abs(pad_matrix(rho, oracle.shape[0]) - oracle)) <= 1e-12
 
 
 class TestReduceCoherent:
