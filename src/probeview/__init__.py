@@ -52,6 +52,7 @@ from .reduction import (
     reduce_mixed,
     reduce_number_state,
     reduce_pure_general,
+    reduce_pure_states,
     reduce_thermal,
 )
 
@@ -84,6 +85,7 @@ __all__ = [
     "binomial_pmf",
     "reduce_number_state",
     "reduce_pure_general",
+    "reduce_pure_states",
     "reduce_mixed",
     "reduce_coherent",
     "beta_prime",

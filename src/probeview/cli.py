@@ -37,13 +37,15 @@ from .fock import (
     materialize,
     number_expectation,
     overlap_from_profile,
+    validate_density_matrix,
 )
-from .oracle import compare_states, expand_two_mode, partial_trace_numeric, random_fock_vectors
+from .oracle import expand_two_mode, partial_trace_numeric, random_fock_vectors
 from .reduction import (
     reduce_coherent,
     reduce_mixed,
     reduce_number_state,
     reduce_pure_general,
+    reduce_pure_states,
     reduce_thermal,
 )
 
@@ -60,8 +62,8 @@ class RunConfig:
     command: str
     state: Optional[StateFamily]
     q0sq: tuple[float, ...]
-    cutoff: int
-    tol: float
+    cutoff: Optional[int]  # None where the subcommand reads no cutoff
+    tol: Optional[float]  # None where the subcommand reads no tolerance
     output_format: str
     output_path: str
 
@@ -70,9 +72,9 @@ class RunConfig:
             raise ValidationError(f"unknown command {self.command!r}")
         if any(not 0.0 <= q <= 1.0 for q in self.q0sq):
             raise ValidationError("q0sq values must lie in [0, 1]")
-        if not isinstance(self.cutoff, int) or self.cutoff < 1:
+        if self.cutoff is not None and (not isinstance(self.cutoff, int) or self.cutoff < 1):
             raise ValidationError(f"cutoff must be an integer >= 1, got {self.cutoff!r}")
-        if not 0.0 < self.tol <= 1e-2:
+        if self.tol is not None and not 0.0 < self.tol <= 1e-2:
             raise ValidationError(f"tol must lie in (0, 1e-2], got {self.tol!r}")
         if self.output_format not in ("csv", "json"):
             raise ValidationError(f"format must be csv or json, got {self.output_format!r}")
@@ -289,7 +291,9 @@ def _reduce_one(family: StateFamily, q0sq: float, cutoff: int, tol: float) -> De
     if isinstance(family, Coherent):
         reduced = reduce_coherent(family.alpha, split)
         coeffs = materialize(reduced, policy).state.coeffs
-        return DensityMatrix(np.outer(coeffs, coeffs.conj()))
+        projector = np.outer(coeffs, coeffs.conj())
+        np.fill_diagonal(projector.imag, 0.0)  # c * conj(c) can round to a nonzero imaginary part
+        return DensityMatrix(projector)
     if isinstance(family, Thermal):
         if split.q0 == 0.0:
             return _vacuum_matrix()
@@ -375,36 +379,36 @@ def _cmd_sweep_thermal(config: RunConfig, inv_betae: tuple[float, ...]):
     return payload, lines, 0
 
 
-def _number_vector(n: int) -> FockVector:
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[n] = 1.0
-    return FockVector(coeffs)
-
-
 def _cmd_oracle_check(config: RunConfig, max_n: int, seed: int):
+    """Closed form and kernel against the two-mode oracle, one stack per q0sq point.
+
+    Each grid point expands the number basis |0>..|max_n> and the random
+    states in one call, validates every oracle and kernel matrix, and
+    compares whole stacks; the closed forms are zero-padded to max_n+1.
+    """
     if max_n < 1:
         raise ValidationError(f"--max-n must be >= 1, got {max_n}")
     if seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {seed}")
+    basis = [FockVector(row) for row in np.eye(max_n + 1, dtype=complex)]
+    randoms = random_fock_vectors(_RANDOM_STATE_COUNT, max_n, seed)
     worst_number = 0.0
-    cases_number = 0
-    for n in range(max_n + 1):
-        for q0sq in config.q0sq:
-            split = ModeSplit.from_q0sq(q0sq)
-            closed = reduce_number_state(n, split)
-            expanded = expand_two_mode(_number_vector(n), split, max(n, 1))
-            numeric = partial_trace_numeric(expanded)
-            worst_number = max(worst_number, compare_states(closed, numeric).max_abs_diff)
-            cases_number += 1
     worst_random = 0.0
-    cases_random = 0
-    for psi in random_fock_vectors(_RANDOM_STATE_COUNT, max_n, seed):
-        for q0sq in config.q0sq:
-            split = ModeSplit.from_q0sq(q0sq)
-            series = reduce_pure_general(psi, split).rho0
-            numeric = partial_trace_numeric(expand_two_mode(psi, split, max(psi.dim - 1, 1)))
-            worst_random = max(worst_random, compare_states(series, numeric).max_abs_diff)
-            cases_random += 1
+    for q0sq in config.q0sq:
+        split = ModeSplit.from_q0sq(q0sq)
+        numeric = partial_trace_numeric(expand_two_mode(basis + randoms, split, max_n))
+        series = reduce_pure_states(randoms, split)
+        for stack in (numeric, series):
+            violations = validate_density_matrix(stack)
+            if violations:
+                raise ValidationError(f"invalid density matrix: {violations}")
+        closed = np.zeros((max_n + 1, max_n + 1, max_n + 1), dtype=complex)
+        for n in range(max_n + 1):
+            closed[n, : n + 1, : n + 1] = reduce_number_state(n, split).elems
+        worst_number = max(worst_number, float(np.max(np.abs(closed - numeric[: max_n + 1]))))
+        worst_random = max(worst_random, float(np.max(np.abs(series - numeric[max_n + 1 :]))))
+    cases_number = len(basis) * len(config.q0sq)
+    cases_random = len(randoms) * len(config.q0sq)
     disagrees = worst_number > config.tol or worst_random > config.tol
     status = "disagreement" if disagrees else "ok"
     payload = {
@@ -529,14 +533,14 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
         else:
             state = _parse_state(args.state, cutoff)
     else:
-        cutoff = 64
-    tol = getattr(args, "tol", 1e-10)
+        cutoff = None
+    tol = getattr(args, "tol", None)
     return RunConfig(
         command=args.command,
         state=state,
         q0sq=q0sq,
         cutoff=cutoff,
-        tol=float(tol),
+        tol=None if tol is None else float(tol),
         output_format=args.format,
         output_path=args.out,
     )

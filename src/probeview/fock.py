@@ -148,40 +148,44 @@ def validate_density_matrix(
     trace_tol: float = TRACE_TOL,
     psd_tol: float = PSD_TOL,
 ) -> list[Violation]:
-    """Check a candidate density matrix and list its defects.
+    """Check a candidate density matrix, or a stack of them, and list the defects.
 
     Parameters
     ----------
     rho
-        Square complex matrix (or DensityMatrix) to diagnose.
+        Square complex matrix (or DensityMatrix) to diagnose, or a stack
+        of equally sized matrices of shape (S, d, d).
     tol
         If given, overrides all three per-check tolerances.
 
     Returns
     -------
     list of Violation
-        Empty iff ``rho`` is Hermitian, has unit trace, and is positive
-        semidefinite within tolerance.  Purely diagnostic: never raises.
+        Empty iff every matrix is Hermitian, has unit trace, and is
+        positive semidefinite within tolerance.  For a stack each
+        violation carries the worst magnitude over all its matrices.
+        Purely diagnostic: never raises.
     """
     if tol is not None:
         hermitian_tol = trace_tol = psd_tol = float(tol)
     elems = rho.elems if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     out: list[Violation] = []
-    if elems.ndim != 2 or elems.shape[0] != elems.shape[1] or elems.size == 0:
+    if elems.ndim not in (2, 3) or elems.shape[-2] != elems.shape[-1] or elems.size == 0:
         out.append(Violation("shape", float("nan")))
         return out
     if not (np.all(np.isfinite(elems.real)) and np.all(np.isfinite(elems.imag))):
         out.append(Violation("finite", float("inf")))
         return out
-    herm_defect = float(np.max(np.abs(elems - elems.conj().T)))
+    herm_defect = float(np.max(np.abs(elems - elems.conj().swapaxes(-2, -1))))
     if herm_defect > hermitian_tol:
         out.append(Violation("hermitian", herm_defect))
-    trace_defect = abs(complex(np.trace(elems)) - 1.0)
+    trace_defect = float(np.max(np.abs(np.trace(elems, axis1=-2, axis2=-1) - 1.0)))
     if trace_defect > trace_tol:
         out.append(Violation("trace", trace_defect))
     # eigvalsh needs the Hermitian part; symmetrize so the PSD check still
     # reports something sensible when hermiticity itself is broken
-    min_eig = float(np.linalg.eigvalsh((elems + elems.conj().T) / 2.0)[0])
+    hermitian_part = (elems + elems.conj().swapaxes(-2, -1)) / 2.0
+    min_eig = float(np.min(np.linalg.eigvalsh(hermitian_part)[..., 0]))
     if min_eig < -psd_tol:
         out.append(Violation("positive_semidefinite", min_eig))
     return out
@@ -195,6 +199,8 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         elems = np.array(self.elems, dtype=complex)
+        if elems.ndim != 2:
+            raise ValidationError(f"density matrix must be 2-D, got shape {elems.shape}")
         violations = validate_density_matrix(elems)
         if violations:
             raise ValidationError(f"invalid density matrix: {violations}")

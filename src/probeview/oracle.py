@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -68,19 +68,24 @@ def annihilation_matrix(cutoff: int) -> LadderOperatorMatrix:
 
 @dataclass(frozen=True)
 class TwoModeVector:
-    """Amplitudes on the product basis, coeffs[n0, n1] multiplying |n0, n1>."""
+    """Amplitudes on the product basis, coeffs[n0, n1] multiplying |n0, n1>.
+
+    A leading state axis, coeffs[s, n0, n1], holds a stack of states on
+    one basis; each state must be finite and normalized on its own.
+    """
 
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         coeffs = np.array(self.coeffs, dtype=complex)
-        if coeffs.ndim != 2 or coeffs.size == 0:
-            raise ValidationError("two-mode coefficients must form a nonempty 2-D array")
+        if coeffs.ndim not in (2, 3) or coeffs.size == 0:
+            raise ValidationError("two-mode coefficients must form a nonempty 2-D or 3-D array")
         if not (np.all(np.isfinite(coeffs.real)) and np.all(np.isfinite(coeffs.imag))):
             raise ValidationError("two-mode coefficients must be finite")
-        norm_sq = float(np.sum(np.abs(coeffs) ** 2))
-        if abs(norm_sq - 1.0) > 1e-10:
-            raise ValidationError(f"two-mode state not normalized: norm^2 = {norm_sq!r}")
+        norms_sq = np.atleast_1d(np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)))
+        worst = float(norms_sq[np.argmax(np.abs(norms_sq - 1.0))])
+        if abs(worst - 1.0) > 1e-10:
+            raise ValidationError(f"two-mode state not normalized: norm^2 = {worst!r}")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -112,46 +117,64 @@ def _apply_split_creation(grid: np.ndarray, q0: float, q1: float) -> np.ndarray:
     return out
 
 
-def expand_two_mode(psi: FockVector, split: ModeSplit, cutoff: int) -> TwoModeVector:
-    """Expand a single-mode state onto the explicit two-mode basis.
+def expand_two_mode(
+    psi: Union[FockVector, Sequence[FockVector]], split: ModeSplit, cutoff: int
+) -> TwoModeVector:
+    """Expand single-mode states onto the explicit two-mode basis.
 
     Builds (split creation)^n |0,0> / sqrt(n!) by repeated operator
     application (never the binomial closed form) and combines the rungs
-    with the amplitudes of ``psi``.
+    with the amplitudes of ``psi``.  The rungs are built once per call and
+    serve every state of a sequence.
 
     Parameters
     ----------
     psi
-        Single-mode amplitudes; support must not exceed ``cutoff``.
+        Single-mode amplitudes, or a sequence of them; no support may
+        exceed ``cutoff``.
     split
         Region/complement amplitudes.
     cutoff
         Per-mode basis cutoff of the product space.
 
+    Returns
+    -------
+    TwoModeVector
+        Coefficients of shape (cutoff+1, cutoff+1) for one FockVector, or
+        (len(psi), cutoff+1, cutoff+1) for a sequence, in its order.
+
     Raises
     ------
     ValidationError
-        If the support of ``psi`` exceeds ``cutoff``.
+        If the support of a state exceeds ``cutoff``.
     """
     if not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
         raise ValidationError(f"cutoff must be an integer >= 1, got {cutoff!r}")
-    if psi.dim - 1 > cutoff:
-        raise ValidationError(f"state support {psi.dim - 1} exceeds cutoff {cutoff}")
+    single = isinstance(psi, FockVector)
+    states = (psi,) if single else tuple(psi)
+    if not states or any(not isinstance(state, FockVector) for state in states):
+        raise ValidationError("states must be a FockVector or a nonempty sequence of them")
+    support = max(state.dim for state in states)
+    if support - 1 > cutoff:
+        raise ValidationError(f"state support {support - 1} exceeds cutoff {cutoff}")
+    amplitudes = np.zeros((len(states), support), dtype=complex)
+    for row, state in zip(amplitudes, states):
+        row[: state.dim] = state.coeffs
     dim = int(cutoff) + 1
     rung = np.zeros((dim, dim), dtype=complex)
     rung[0, 0] = 1.0
-    out = psi.coeffs[0] * rung
-    for n in range(1, psi.dim):
+    out = amplitudes[:, 0, None, None] * rung
+    for n in range(1, support):
         # rung holds (split creation)^n |0,0> / sqrt(n!), exactly normalized
         rung = _apply_split_creation(rung, split.q0, split.q1) / math.sqrt(n)
-        out = out + psi.coeffs[n] * rung
-    return TwoModeVector(out)
+        out = out + amplitudes[:, n, None, None] * rung
+    return TwoModeVector(out[0] if single else out)
 
 
 def partial_trace_numeric(
     state: Union[TwoModeVector, np.ndarray],
     keep: int = 0,
-) -> DensityMatrix:
+) -> Union[DensityMatrix, np.ndarray]:
     """Trace out one mode of a two-mode state by literal index contraction.
 
     Parameters
@@ -164,19 +187,21 @@ def partial_trace_numeric(
 
     Returns
     -------
-    DensityMatrix
+    DensityMatrix or numpy.ndarray
         (rho_keep)_{ij} = sum_k rho_{(i,k),(j,k)} for keep = 0, and the
-        index-swapped contraction for keep = 1.
+        index-swapped contraction for keep = 1.  A TwoModeVector holding a
+        stack of states gives the stack of marginals, shape (S, N+1, N+1),
+        not validated: pass it to ``validate_density_matrix``.
     """
     if keep not in (0, 1):
         raise ValidationError(f"keep must be 0 or 1, got {keep!r}")
     if isinstance(state, TwoModeVector):
         grid = state.coeffs
         if keep == 0:
-            rho = np.einsum("ik,jk->ij", grid, grid.conj())
+            rho = np.einsum("...ik,...jk->...ij", grid, grid.conj())
         else:
-            rho = np.einsum("ki,kj->ij", grid, grid.conj())
-        return DensityMatrix(rho)
+            rho = np.einsum("...ki,...kj->...ij", grid, grid.conj())
+        return rho if rho.ndim == 3 else DensityMatrix(rho)
     arr = np.asarray(state, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError("two-mode density matrix must be square")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,6 +45,7 @@ __all__ = [
     "binomial_pmf",
     "reduce_number_state",
     "reduce_pure_general",
+    "reduce_pure_states",
     "reduce_mixed",
     "reduce_coherent",
     "beta_prime",
@@ -136,6 +138,31 @@ def _loss_amplitudes(dim: int, split: ModeSplit) -> np.ndarray:
     return np.exp(log_amp, out=log_amp)
 
 
+def _kraus_factors(coeffs: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """G[..., k, o] = psi[..., k+o] * A[k, o] for amplitudes of shape (..., n).
+
+    Column o of each G is the Kraus operator K_o applied to psi; ``amps``
+    is the table of ``_loss_amplitudes`` with at least n columns.
+    """
+    size = coeffs.shape[-1]
+    padded = np.zeros(coeffs.shape[:-1] + (amps.shape[0] + size - 1,), dtype=complex)
+    padded[..., :size] = coeffs
+    return amps[:, :size] * sliding_window_view(padded, size, axis=-1)
+
+
+def _real_diagonal(rho: np.ndarray) -> np.ndarray:
+    """Zero the imaginary part of each diagonal, which rounding leaves in G G^dagger."""
+    diag = np.arange(rho.shape[-1])
+    rho.imag[..., diag, diag] = 0.0
+    return rho
+
+
+def _vacuum_stack(count: int, dim: int) -> np.ndarray:
+    rho = np.zeros((count, dim, dim), dtype=complex)
+    rho[:, 0, 0] = 1.0
+    return rho
+
+
 def _reduced_elems(
     weights: tuple[float, ...], states: tuple[FockVector, ...], split: ModeSplit
 ) -> np.ndarray:
@@ -146,20 +173,46 @@ def _reduced_elems(
     """
     dim = max(state.dim for state in states)
     if split.q0 == 0.0:
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
+        return _vacuum_stack(1, dim)[0]
     amps = _loss_amplitudes(dim, split)
-    factors = []
-    for state in states:
-        # G_c[k, o] = psi_c[k+o] * A[k, o]: column o is the Kraus operator K_o applied to psi_c
-        padded = np.zeros(dim + state.dim - 1, dtype=complex)
-        padded[: state.dim] = state.coeffs
-        factors.append(amps[:, : state.dim] * sliding_window_view(padded, state.dim))
+    factors = [_kraus_factors(state.coeffs, amps) for state in states]
     stacked = factors[0] if len(factors) == 1 else np.hstack(factors)
     weighted = stacked * np.repeat(weights, [state.dim for state in states])
     # conjugating in place, not into a copy, keeps the peak memory down
-    return weighted @ np.conjugate(stacked, out=stacked).T
+    return _real_diagonal(weighted @ np.conjugate(stacked, out=stacked).T)
+
+
+def reduce_pure_states(states: Sequence[FockVector], split: ModeSplit) -> np.ndarray:
+    """Reduce equally sized pure states at one split: the stack of G_s G_s^dagger.
+
+    Every factor G_s comes from one shared amplitude table, and the
+    products run as one stacked matrix multiplication.
+
+    Parameters
+    ----------
+    states
+        Normalized amplitudes psi_0..psi_N, all of the same length N+1.
+    split
+        Region/complement amplitudes (q0, q1).
+
+    Returns
+    -------
+    numpy.ndarray
+        Shape (len(states), N+1, N+1); entry s is the reduced state of
+        ``states[s]``.  The matrices are not validated: pass the stack to
+        ``validate_density_matrix``, or wrap an entry in ``DensityMatrix``.
+    """
+    states = tuple(states)
+    if not states or any(not isinstance(state, FockVector) for state in states):
+        raise ValidationError("input states must be a nonempty sequence of FockVectors")
+    dim = states[0].dim
+    if any(state.dim != dim for state in states):
+        raise ValidationError("input states must all have the same dimension")
+    if split.q0 == 0.0:
+        return _vacuum_stack(len(states), dim)
+    amps = _loss_amplitudes(dim, split)
+    factors = _kraus_factors(np.stack([state.coeffs for state in states]), amps)
+    return _real_diagonal(factors @ np.conjugate(factors).swapaxes(-2, -1))
 
 
 def reduce_pure_general(psi: FockVector, split: ModeSplit) -> ReductionReport:
@@ -179,7 +232,7 @@ def reduce_pure_general(psi: FockVector, split: ModeSplit) -> ReductionReport:
     """
     if not isinstance(psi, FockVector):
         raise ValidationError("input state must be a FockVector")
-    return ReductionReport(DensityMatrix(_reduced_elems((1.0,), (psi,), split)))
+    return ReductionReport(DensityMatrix(reduce_pure_states((psi,), split)[0]))
 
 
 def reduce_mixed(family: Mixture, split: ModeSplit) -> ReductionReport:

@@ -48,6 +48,23 @@ class TestReduceCommand:
         assert payload["purity"] == 0.5
         assert payload["mean_occupation"] == 0.5
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            '{"family": "coherent", "alpha": {"re": 1.2, "im": 0.4}}',
+            '{"family": "custom", "coeffs": [[0.6, 0.0], [-0.48, 0.64]]}',
+            '{"family": "mixture", "weights": [0.5, 0.5], "states": [{"family": "number", "n": 2}, '
+            '{"family": "coherent", "alpha": {"re": 0.3, "im": -0.5}}]}',
+        ],
+        ids=["coherent", "custom", "mixture"],
+    )
+    def test_diagonal_is_exactly_real(self, capsys, state):
+        argv = ("reduce", "--state", state, "--q0sq", "0.4", "--cutoff", "16", "--format", "json")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        rho = json.loads(out)["rho0"]
+        assert [rho[i][i]["im"] for i in range(len(rho))] == [0] * len(rho)
+
     def test_alpha_shorthand(self, capsys):
         code, out = run_cli(capsys, "reduce", "--alpha", "2", "--q0sq", "0.25", "--format", "json")
         assert code == 0
@@ -254,6 +271,45 @@ class TestOracleCheckCommand:
         payload = json.loads(out)
         random_check = payload["checks"][1]
         assert random_check["cases"] == 100
+
+    def test_one_kernel_matrix_off_by_1e9_exits_three(self, capsys, monkeypatch):
+        import probeview.cli
+
+        kernel = probeview.cli.reduce_pure_states
+
+        def off_by_1e9(states, split):
+            stacked = kernel(states, split)
+            assert stacked.shape[0] == 100
+            # a Hermitian, trace-preserving change: every density-matrix gate still passes
+            stacked[37, 0, 1] += 1e-9
+            stacked[37, 1, 0] += 1e-9
+            return stacked
+
+        monkeypatch.setattr(probeview.cli, "reduce_pure_states", off_by_1e9)
+        code, out = run_cli(
+            capsys, "oracle-check", "--max-n", "3", "--q0sq", "0.3:0.7:0.2", "--format", "json"
+        )
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["status"] == "disagreement"
+        number_check, random_check = payload["checks"]
+        assert number_check["max_abs_diff"] <= 1e-15
+        assert random_check["max_abs_diff"] == pytest.approx(1e-9, rel=1e-6)
+
+    def test_invalid_kernel_matrix_exits_two(self, capsys, monkeypatch):
+        import probeview.cli
+
+        kernel = probeview.cli.reduce_pure_states
+
+        def trace_off(states, split):
+            stacked = kernel(states, split)
+            stacked[99, 2, 2] += 1e-9
+            return stacked
+
+        monkeypatch.setattr(probeview.cli, "reduce_pure_states", trace_off)
+        code = main(["oracle-check", "--max-n", "3", "--q0sq", "0.5"])
+        assert code == 2
+        assert "invalid density matrix" in capsys.readouterr().err
 
     def test_impossible_tolerance_exits_three(self, capsys):
         # 1e-300 is inside the accepted (0, 1e-2] range but below float noise

@@ -115,6 +115,78 @@ class TestValidateDensityMatrix:
         assert [v.kind for v in violations] == ["shape"]
 
 
+def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = raw @ raw.conj().T
+    return rho / np.trace(rho)
+
+
+def _with_defect(rho: np.ndarray, defect, size: float) -> np.ndarray:
+    """A copy of rho with one broken invariant of roughly the given size."""
+    out = rho.copy()
+    if defect == "trace":
+        out *= 1.0 + size
+    elif defect == "hermitian":
+        out[0, 1] += size
+    elif defect == "psd":
+        out[0, 0] += 1.0 + size
+        out[1, 1] -= 1.0 + size
+    return out
+
+
+def _by_kind(violations) -> dict:
+    return {v.kind: v.magnitude for v in violations}
+
+
+_DEFECTS = st.sampled_from([None, "trace", "hermitian", "psd"])
+_DEFECT_SIZES = st.floats(min_value=1e-9, max_value=0.5)
+
+
+class TestValidateStack:
+    @given(
+        st.integers(min_value=2, max_value=16),
+        st.lists(st.tuples(_DEFECTS, _DEFECT_SIZES), min_size=1, max_size=8),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_reports_the_worst_matrix_of_each_kind(self, dim, defects, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([_with_defect(_random_density(rng, dim), d, size) for d, size in defects])
+        expected: dict = {}
+        for rho in stack:
+            for kind, magnitude in _by_kind(validate_density_matrix(rho)).items():
+                worse = min if kind == "positive_semidefinite" else max
+                expected[kind] = worse(expected.get(kind, magnitude), magnitude)
+        assert _by_kind(validate_density_matrix(stack)) == expected
+
+    @given(
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=1, max_value=8),
+        st.data(),
+    )
+    def test_one_bad_matrix_is_flagged_with_its_magnitude(self, dim, count, data):
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**31 - 1)))
+        stack = np.stack([_random_density(rng, dim) for _ in range(count)])
+        assume(validate_density_matrix(stack) == [])
+        bad = data.draw(st.integers(min_value=0, max_value=count - 1))
+        defect = data.draw(st.sampled_from(["trace", "hermitian", "psd"]))
+        stack[bad] = _with_defect(stack[bad], defect, data.draw(_DEFECT_SIZES))
+        alone = validate_density_matrix(stack[bad])
+        assert defect in [v.kind if v.kind != "positive_semidefinite" else "psd" for v in alone]
+        assert validate_density_matrix(stack) == alone
+
+    def test_nonfinite_and_misshaped_stacks(self):
+        stack = np.stack([np.eye(2, dtype=complex) / 2.0] * 3)
+        assert validate_density_matrix(stack) == []
+        stack[2, 1, 0] = np.nan
+        assert [v.kind for v in validate_density_matrix(stack)] == ["finite"]
+        assert [v.kind for v in validate_density_matrix(np.zeros((2, 2, 3)))] == ["shape"]
+        assert [v.kind for v in validate_density_matrix(np.zeros((1, 2, 2, 2)))] == ["shape"]
+
+    def test_density_matrix_rejects_a_stack(self):
+        with pytest.raises(ValidationError):
+            DensityMatrix(np.stack([np.eye(2, dtype=complex) / 2.0] * 2))
+
+
 class TestDensityMatrix:
     def test_valid_construction(self):
         rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import cat_vector, number_vector, split_from_amplitude
 from probeview import (
+    FockVector,
     ModeSplit,
     TwoModeVector,
     ValidationError,
@@ -60,6 +63,61 @@ class TestTwoModeVector:
         coeffs[1, 0] = coeffs[0, 1] = 1.0 / math.sqrt(2.0)
         marginal = TwoModeVector(coeffs).total_number_marginal()
         assert np.allclose(marginal, [0.0, 1.0, 0.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
+
+
+    def test_stack_checks_each_state(self):
+        good = np.zeros((2, 2), dtype=complex)
+        good[0, 0] = 1.0
+        assert TwoModeVector(np.stack([good, good])).coeffs.shape == (2, 2, 2)
+        with pytest.raises(ValidationError, match="norm\\^2 = 2.0"):
+            TwoModeVector(np.stack([good, math.sqrt(2.0) * good]))
+        with pytest.raises(ValidationError, match="finite"):
+            TwoModeVector(np.stack([good, np.full((2, 2), np.nan)]))
+
+
+def _random_vectors(dims, seed):
+    rng = np.random.default_rng(seed)
+    states = []
+    for dim in dims:
+        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        states.append(FockVector(raw / np.linalg.norm(raw)))
+    return states
+
+
+class TestStackedExpansion:
+    @given(
+        st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_size=8),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_stack_equals_each_state_alone(self, dims, q0sq, seed):
+        states = _random_vectors(dims, seed)
+        split = ModeSplit.from_q0sq(q0sq)
+        cutoff = max(max(dims) - 1, 1)
+        stacked = expand_two_mode(states, split, cutoff)
+        marginals = partial_trace_numeric(stacked)
+        others = partial_trace_numeric(stacked, keep=1)
+        assert marginals.shape == (len(states), cutoff + 1, cutoff + 1)
+        for k, psi in enumerate(states):
+            alone = expand_two_mode(psi, split, cutoff)
+            assert np.array_equal(stacked.coeffs[k], alone.coeffs)
+            assert np.array_equal(marginals[k], partial_trace_numeric(alone).elems)
+            assert np.array_equal(others[k], partial_trace_numeric(alone, keep=1).elems)
+
+    def test_sequence_of_one_keeps_the_state_axis(self):
+        psi = random_fock_vectors(1, 3, seed=4)[0]
+        stacked = expand_two_mode([psi], ModeSplit.from_q0sq(0.3), 3)
+        assert stacked.coeffs.shape == (1, 4, 4)
+        assert isinstance(partial_trace_numeric(stacked), np.ndarray)
+
+    def test_rejects_empty_or_oversized_stacks(self):
+        split = ModeSplit.from_q0sq(0.5)
+        with pytest.raises(ValidationError):
+            expand_two_mode([], split, 2)
+        with pytest.raises(ValidationError):
+            expand_two_mode([number_vector(1), number_vector(3)], split, 2)
+        with pytest.raises(ValidationError):
+            expand_two_mode([number_vector(1), np.array([1.0, 0.0])], split, 2)
 
 
 class TestSplitCreation:

@@ -30,6 +30,7 @@ from probeview import (
     reduce_mixed,
     reduce_number_state,
     reduce_pure_general,
+    reduce_pure_states,
     reduce_thermal,
     validate_density_matrix,
 )
@@ -197,6 +198,39 @@ class TestReducePureGeneral:
         )
 
 
+class TestReducePureStates:
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=1, max_value=8),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_stack_equals_each_state_alone(self, dim, count, q0sq, seed):
+        states = [_seeded_state(dim, seed + k) for k in range(count)]
+        split = ModeSplit.from_q0sq(q0sq)
+        stacked = reduce_pure_states(states, split)
+        assert stacked.shape == (count, dim, dim)
+        for k, psi in enumerate(states):
+            assert np.array_equal(stacked[k], reduce_pure_general(psi, split).rho0.elems)
+        assert validate_density_matrix(stacked) == []
+        assert np.all(np.diagonal(stacked, axis1=1, axis2=2).imag == 0.0)
+
+    def test_vacuum_limit_is_exact(self):
+        stacked = reduce_pure_states([_random_state(3), _random_state(3)], ModeSplit(0.0, 1.0))
+        vacuum = np.zeros((3, 3), dtype=complex)
+        vacuum[0, 0] = 1.0
+        assert np.array_equal(stacked, np.stack([vacuum, vacuum]))
+
+    def test_input_validation(self):
+        split = ModeSplit.from_q0sq(0.5)
+        with pytest.raises(ValidationError):
+            reduce_pure_states([], split)
+        with pytest.raises(ValidationError):
+            reduce_pure_states([_random_state(3), np.array([1.0, 0.0, 0.0])], split)
+        with pytest.raises(ValidationError):
+            reduce_pure_states([_random_state(3), _random_state(4)], split)
+
+
 class TestReduceMixed:
     def test_singleton_equals_pure(self):
         psi = _random_state(4)
@@ -219,6 +253,11 @@ class TestReduceMixed:
     def test_rejects_non_mixture(self):
         with pytest.raises(ValidationError):
             reduce_mixed(number_vector(1), ModeSplit.from_q0sq(0.5))
+
+    def test_diagonal_is_exactly_real(self):
+        mix = Mixture((0.3, 0.7), (_seeded_state(9, 1), _seeded_state(5, 2)))
+        rho = reduce_mixed(mix, ModeSplit.from_q0sq(0.4)).rho0.elems
+        assert np.all(rho.diagonal().imag == 0.0)
 
 
 _LARGE_Q0SQ = (1e-6, 0.5, 1.0 - 1e-6)
