@@ -33,18 +33,13 @@ from .fock import (
 )
 from .oracle import (
     CompareResult,
-    LadderOperatorMatrix,
     TwoModeVector,
-    annihilation_matrix,
-    build_split_creation,
     compare_states,
-    creation_matrix,
     expand_two_mode,
     partial_trace_numeric,
     random_fock_vectors,
 )
 from .reduction import (
-    BetaPrime,
     ReductionReport,
     beta_prime,
     binomial_pmf,
@@ -81,7 +76,6 @@ __all__ = [
     "number_expectation",
     "overlap_from_profile",
     "ReductionReport",
-    "BetaPrime",
     "binomial_pmf",
     "reduce_number_state",
     "reduce_pure_general",
@@ -90,12 +84,8 @@ __all__ = [
     "reduce_coherent",
     "beta_prime",
     "reduce_thermal",
-    "LadderOperatorMatrix",
     "TwoModeVector",
     "CompareResult",
-    "creation_matrix",
-    "annihilation_matrix",
-    "build_split_creation",
     "expand_two_mode",
     "partial_trace_numeric",
     "compare_states",

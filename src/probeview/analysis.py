@@ -111,7 +111,7 @@ def thermal_sweep(q0sq_values: Iterable[float], betaE_grid: Iterable[float]) -> 
     rows = []
     for be in reversed(bes):  # descending betaE = ascending 1/betaE
         for q0sq in qs:
-            bpe = beta_prime(be, 1.0, q0sq).beta_prime
+            bpe = beta_prime(be, 1.0, q0sq)
             rows.append((1.0 / be, q0sq, 1.0 / bpe))
     return SweepResult(tuple(rows), ("inv_betaE", "q0sq", "inv_beta_primeE"))
 

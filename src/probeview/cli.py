@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -49,35 +48,9 @@ from .reduction import (
     reduce_thermal,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
-_COMMANDS = ("reduce", "sweep-purity", "sweep-thermal", "oracle-check", "profile-overlap")
 _RANDOM_STATE_COUNT = 100
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by every subcommand."""
-
-    command: str
-    state: Optional[StateFamily]
-    q0sq: tuple[float, ...]
-    cutoff: Optional[int]  # None where the subcommand reads no cutoff
-    tol: Optional[float]  # None where the subcommand reads no tolerance
-    output_format: str
-    output_path: str
-
-    def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ValidationError(f"unknown command {self.command!r}")
-        if any(not 0.0 <= q <= 1.0 for q in self.q0sq):
-            raise ValidationError("q0sq values must lie in [0, 1]")
-        if self.cutoff is not None and (not isinstance(self.cutoff, int) or self.cutoff < 1):
-            raise ValidationError(f"cutoff must be an integer >= 1, got {self.cutoff!r}")
-        if self.tol is not None and not 0.0 < self.tol <= 1e-2:
-            raise ValidationError(f"tol must lie in (0, 1e-2], got {self.tol!r}")
-        if self.output_format not in ("csv", "json"):
-            raise ValidationError(f"format must be csv or json, got {self.output_format!r}")
 
 
 def _fmt_float(value: float) -> str:
@@ -183,6 +156,19 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
     return tuple(values)
 
 
+def _parse_q0sq(text: str) -> tuple[float, ...]:
+    grid = _parse_grid(text, "--q0sq")
+    if any(not 0.0 <= q <= 1.0 for q in grid):
+        raise ValidationError("q0sq values must lie in [0, 1]")
+    return grid
+
+
+def _check_tol(tol: float) -> float:
+    if not 0.0 < tol <= 1e-2:
+        raise ValidationError(f"tol must lie in (0, 1e-2], got {tol!r}")
+    return tol
+
+
 def _parse_alpha(text: str) -> complex:
     parts = text.split(",")
     try:
@@ -277,10 +263,6 @@ def _parse_state(text: str, cutoff: int) -> StateFamily:
     return _family_from_descriptor(obj, cutoff)
 
 
-def _vacuum_matrix() -> DensityMatrix:
-    return DensityMatrix(np.array([[1.0 + 0.0j]]))
-
-
 def _reduce_one(family: StateFamily, q0sq: float, cutoff: int, tol: float) -> DensityMatrix:
     """Route one reduction through the tightest applicable formula."""
     split = ModeSplit.from_q0sq(q0sq)
@@ -295,8 +277,10 @@ def _reduce_one(family: StateFamily, q0sq: float, cutoff: int, tol: float) -> De
         np.fill_diagonal(projector.imag, 0.0)  # c * conj(c) can round to a nonzero imaginary part
         return DensityMatrix(projector)
     if isinstance(family, Thermal):
-        if split.q0 == 0.0:
-            return _vacuum_matrix()
+        if split.q0 == 0.0:  # beta' diverges: vacuum, on the basis of every other q0sq
+            vacuum = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+            vacuum[0, 0] = 1.0
+            return DensityMatrix(vacuum)
         reduced_thermal = reduce_thermal(family.beta, family.energy, split)
         return materialize(reduced_thermal, policy).state
     if isinstance(family, Custom):
@@ -317,10 +301,18 @@ def _csv_matrix_rows(q0sq: float, elems: np.ndarray) -> str:
     return (f"{q}," + f"\n{q},".join(index)) % _complex_cells(elems)
 
 
-def _cmd_reduce(config: RunConfig):
+def _cmd_reduce(args: argparse.Namespace):
+    grid = _parse_q0sq(args.q0sq)
+    if args.cutoff < 1:
+        raise ValidationError(f"cutoff must be an integer >= 1, got {args.cutoff!r}")
+    tol = _check_tol(args.tol)
+    if args.alpha is not None:
+        family = Coherent(_parse_alpha(args.alpha))
+    else:
+        family = _parse_state(args.state, args.cutoff)
     results = []
-    for q0sq in config.q0sq:
-        rho = _reduce_one(config.state, q0sq, config.cutoff, config.tol)
+    for q0sq in grid:
+        rho = _reduce_one(family, q0sq, args.cutoff, tol)
         results.append(
             {
                 "q0sq": q0sq,
@@ -330,14 +322,14 @@ def _cmd_reduce(config: RunConfig):
                 "mean_occupation": number_expectation(rho),
             }
         )
-    if config.output_format == "json":
-        payload = {"command": "reduce", "cutoff": config.cutoff}
+    if args.format == "json":
+        payload = {"command": "reduce", "cutoff": args.cutoff}
         if len(results) == 1:
             payload.update(results[0])
         else:
             payload["results"] = results
         return payload, None, 0
-    lines = [f"# command = reduce", f"# cutoff = {config.cutoff}", "q0sq,i,j,re,im"]
+    lines = [f"# command = reduce", f"# cutoff = {args.cutoff}", "q0sq,i,j,re,im"]
     lines.extend(_csv_matrix_rows(entry["q0sq"], entry["rho0"]) for entry in results)
     for entry in results:
         lines.append(
@@ -362,30 +354,36 @@ def _sweep_payload(command: str, sweep):
     return payload, lines
 
 
-def _cmd_sweep_purity(config: RunConfig, max_n: int):
-    if max_n < 1:
-        raise ValidationError(f"--max-n must be >= 1, got {max_n}")
-    sweep = purity_sweep(range(1, max_n + 1), config.q0sq)
+def _cmd_sweep_purity(args: argparse.Namespace):
+    grid = _parse_q0sq(args.q0sq)
+    if args.max_n < 1:
+        raise ValidationError(f"--max-n must be >= 1, got {args.max_n}")
+    sweep = purity_sweep(range(1, args.max_n + 1), grid)
     payload, lines = _sweep_payload("sweep-purity", sweep)
     return payload, lines, 0
 
 
-def _cmd_sweep_thermal(config: RunConfig, inv_betae: tuple[float, ...]):
+def _cmd_sweep_thermal(args: argparse.Namespace):
+    grid = _parse_q0sq(args.q0sq)
+    inv_betae = _parse_grid(args.inv_betae, "--inv-betae")
     if any(v <= 0.0 for v in inv_betae):
         raise ValidationError("--inv-betae values must be positive")
     betae_grid = [1.0 / v for v in inv_betae]
-    sweep = thermal_sweep(config.q0sq, betae_grid)
+    sweep = thermal_sweep(grid, betae_grid)
     payload, lines = _sweep_payload("sweep-thermal", sweep)
     return payload, lines, 0
 
 
-def _cmd_oracle_check(config: RunConfig, max_n: int, seed: int):
+def _cmd_oracle_check(args: argparse.Namespace):
     """Closed form and kernel against the two-mode oracle, one stack per q0sq point.
 
     Each grid point expands the number basis |0>..|max_n> and the random
     states in one call, validates every oracle and kernel matrix, and
     compares whole stacks; the closed forms are zero-padded to max_n+1.
     """
+    grid = _parse_q0sq(args.q0sq)
+    tol = _check_tol(args.tol)
+    max_n, seed = args.max_n, args.seed
     if max_n < 1:
         raise ValidationError(f"--max-n must be >= 1, got {max_n}")
     if seed < 0:
@@ -394,7 +392,7 @@ def _cmd_oracle_check(config: RunConfig, max_n: int, seed: int):
     randoms = random_fock_vectors(_RANDOM_STATE_COUNT, max_n, seed)
     worst_number = 0.0
     worst_random = 0.0
-    for q0sq in config.q0sq:
+    for q0sq in grid:
         split = ModeSplit.from_q0sq(q0sq)
         numeric = partial_trace_numeric(expand_two_mode(basis + randoms, split, max_n))
         series = reduce_pure_states(randoms, split)
@@ -407,15 +405,15 @@ def _cmd_oracle_check(config: RunConfig, max_n: int, seed: int):
             closed[n, : n + 1, : n + 1] = reduce_number_state(n, split).elems
         worst_number = max(worst_number, float(np.max(np.abs(closed - numeric[: max_n + 1]))))
         worst_random = max(worst_random, float(np.max(np.abs(series - numeric[max_n + 1 :]))))
-    cases_number = len(basis) * len(config.q0sq)
-    cases_random = len(randoms) * len(config.q0sq)
-    disagrees = worst_number > config.tol or worst_random > config.tol
+    cases_number = len(basis) * len(grid)
+    cases_random = len(randoms) * len(grid)
+    disagrees = worst_number > tol or worst_random > tol
     status = "disagreement" if disagrees else "ok"
     payload = {
         "command": "oracle-check",
         "max_n": max_n,
         "seed": seed,
-        "tolerance": config.tol,
+        "tolerance": tol,
         "checks": [
             {
                 "name": "number_state_closed_form",
@@ -430,7 +428,7 @@ def _cmd_oracle_check(config: RunConfig, max_n: int, seed: int):
         "# command = oracle-check",
         f"# max_n = {max_n}",
         f"# seed = {seed}",
-        f"# tolerance = {_fmt_float(config.tol)}",
+        f"# tolerance = {_fmt_float(tol)}",
         f"# status = {status}",
         "check,cases,max_abs_diff",
         _csv_row(("number_state_closed_form", cases_number, worst_number)),
@@ -439,7 +437,8 @@ def _cmd_oracle_check(config: RunConfig, max_n: int, seed: int):
     return payload, lines, 3 if disagrees else 0
 
 
-def _cmd_profile_overlap(config: RunConfig, profile: str, region_text: Optional[str]):
+def _cmd_profile_overlap(args: argparse.Namespace):
+    profile, region_text = args.profile, args.region
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty files warn before the shape check rejects them
@@ -522,41 +521,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_config(args: argparse.Namespace) -> RunConfig:
-    q0sq_text = getattr(args, "q0sq", None)
-    q0sq = _parse_grid(q0sq_text, "--q0sq") if q0sq_text is not None else (1.0,)
-    state = None
-    if args.command == "reduce":
-        cutoff = args.cutoff
-        if getattr(args, "alpha", None) is not None:
-            state = Coherent(_parse_alpha(args.alpha))
-        else:
-            state = _parse_state(args.state, cutoff)
-    else:
-        cutoff = None
-    tol = getattr(args, "tol", None)
-    return RunConfig(
-        command=args.command,
-        state=state,
-        q0sq=q0sq,
-        cutoff=cutoff,
-        tol=None if tol is None else float(tol),
-        output_format=args.format,
-        output_path=args.out,
-    )
-
-
-def _dispatch(config: RunConfig, args: argparse.Namespace):
-    """(JSON payload, CSV lines, exit code); reduce builds only the one its format needs."""
-    if config.command == "reduce":
-        return _cmd_reduce(config)
-    if config.command == "sweep-purity":
-        return _cmd_sweep_purity(config, args.max_n)
-    if config.command == "sweep-thermal":
-        return _cmd_sweep_thermal(config, _parse_grid(args.inv_betae, "--inv-betae"))
-    if config.command == "oracle-check":
-        return _cmd_oracle_check(config, args.max_n, args.seed)
-    return _cmd_profile_overlap(config, args.profile, args.region)
+_COMMANDS = {
+    "reduce": _cmd_reduce,
+    "sweep-purity": _cmd_sweep_purity,
+    "sweep-thermal": _cmd_sweep_thermal,
+    "oracle-check": _cmd_oracle_check,
+    "profile-overlap": _cmd_profile_overlap,
+}
 
 
 def _write_output(text: str, path: str) -> None:
@@ -570,13 +541,13 @@ def _write_output(text: str, path: str) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _make_config(args)
-        payload, csv_lines, code = _dispatch(config, args)
-        if config.output_format == "json":
+        # (JSON payload, CSV lines, exit code); reduce builds only the one its format needs
+        payload, csv_lines, code = _COMMANDS[args.command](args)
+        if args.format == "json":
             text = _render_json(payload) + "\n"
         else:
             text = "\n".join(csv_lines) + "\n"
-        _write_output(text, config.output_path)
+        _write_output(text, args.out)
     except (ValidationError, TruncationError, VacuumLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -142,11 +142,6 @@ class Violation(NamedTuple):
 
 def validate_density_matrix(
     rho: Union["DensityMatrix", np.ndarray, Sequence[Sequence[complex]]],
-    tol: Optional[float] = None,
-    *,
-    hermitian_tol: float = HERMITIAN_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
 ) -> list[Violation]:
     """Check a candidate density matrix, or a stack of them, and list the defects.
 
@@ -155,19 +150,15 @@ def validate_density_matrix(
     rho
         Square complex matrix (or DensityMatrix) to diagnose, or a stack
         of equally sized matrices of shape (S, d, d).
-    tol
-        If given, overrides all three per-check tolerances.
 
     Returns
     -------
     list of Violation
-        Empty iff every matrix is Hermitian, has unit trace, and is
-        positive semidefinite within tolerance.  For a stack each
-        violation carries the worst magnitude over all its matrices.
-        Purely diagnostic: never raises.
+        Empty iff every matrix is Hermitian within HERMITIAN_TOL, has
+        unit trace within TRACE_TOL, and has no eigenvalue below
+        -PSD_TOL.  For a stack each violation carries the worst magnitude
+        over all its matrices.  Purely diagnostic: never raises.
     """
-    if tol is not None:
-        hermitian_tol = trace_tol = psd_tol = float(tol)
     elems = rho.elems if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     out: list[Violation] = []
     if elems.ndim not in (2, 3) or elems.shape[-2] != elems.shape[-1] or elems.size == 0:
@@ -177,16 +168,16 @@ def validate_density_matrix(
         out.append(Violation("finite", float("inf")))
         return out
     herm_defect = float(np.max(np.abs(elems - elems.conj().swapaxes(-2, -1))))
-    if herm_defect > hermitian_tol:
+    if herm_defect > HERMITIAN_TOL:
         out.append(Violation("hermitian", herm_defect))
     trace_defect = float(np.max(np.abs(np.trace(elems, axis1=-2, axis2=-1) - 1.0)))
-    if trace_defect > trace_tol:
+    if trace_defect > TRACE_TOL:
         out.append(Violation("trace", trace_defect))
     # eigvalsh needs the Hermitian part; symmetrize so the PSD check still
     # reports something sensible when hermiticity itself is broken
     hermitian_part = (elems + elems.conj().swapaxes(-2, -1)) / 2.0
     min_eig = float(np.min(np.linalg.eigvalsh(hermitian_part)[..., 0]))
-    if min_eig < -psd_tol:
+    if min_eig < -PSD_TOL:
         out.append(Violation("positive_semidefinite", min_eig))
     return out
 

@@ -18,12 +18,8 @@ import numpy as np
 from .fock import DensityMatrix, FockVector, ModeSplit, ValidationError
 
 __all__ = [
-    "LadderOperatorMatrix",
     "TwoModeVector",
     "CompareResult",
-    "creation_matrix",
-    "annihilation_matrix",
-    "build_split_creation",
     "expand_two_mode",
     "partial_trace_numeric",
     "compare_states",
@@ -31,39 +27,6 @@ __all__ = [
 ]
 
 _PURE_RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class LadderOperatorMatrix:
-    """Dense creation or annihilation operator on a truncated single mode."""
-
-    elems: np.ndarray
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("creation", "annihilation"):
-            raise ValidationError(f"kind must be creation or annihilation, got {self.kind!r}")
-        elems = np.array(self.elems, dtype=complex)
-        if elems.ndim != 2 or elems.shape[0] != elems.shape[1]:
-            raise ValidationError("ladder operator must be a square matrix")
-        elems.setflags(write=False)
-        object.__setattr__(self, "elems", elems)
-
-
-def creation_matrix(cutoff: int) -> LadderOperatorMatrix:
-    """Creation operator: elems[n+1, n] = sqrt(n+1) on |0>..|cutoff>."""
-    if not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
-        raise ValidationError(f"cutoff must be an integer >= 1, got {cutoff!r}")
-    dim = int(cutoff) + 1
-    elems = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(dim - 1)
-    elems[ns + 1, ns] = np.sqrt(ns + 1.0)
-    return LadderOperatorMatrix(elems, "creation")
-
-
-def annihilation_matrix(cutoff: int) -> LadderOperatorMatrix:
-    """Annihilation operator, the conjugate transpose of the creation matrix."""
-    return LadderOperatorMatrix(creation_matrix(cutoff).elems.conj().T, "annihilation")
 
 
 @dataclass(frozen=True)
@@ -88,23 +51,6 @@ class TwoModeVector:
             raise ValidationError(f"two-mode state not normalized: norm^2 = {worst!r}")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def total_number_marginal(self) -> np.ndarray:
-        """Probability of finding n0 + n1 = n excitations in total."""
-        probs = np.abs(self.coeffs) ** 2
-        n0, n1 = np.indices(probs.shape)
-        return np.bincount((n0 + n1).ravel(), weights=probs.ravel())
-
-
-def build_split_creation(split: ModeSplit, cutoff: int) -> np.ndarray:
-    """Dense split creation operator q0*(adag x 1) + q1*(1 x adag).
-
-    Acts on the (cutoff+1)**2-dimensional product space; meant for
-    small cutoffs (operator size grows as (cutoff+1)^4).
-    """
-    adag = creation_matrix(cutoff).elems
-    eye = np.eye(adag.shape[0], dtype=complex)
-    return split.q0 * np.kron(adag, eye) + split.q1 * np.kron(eye, adag)
 
 
 def _apply_split_creation(grid: np.ndarray, q0: float, q1: float) -> np.ndarray:

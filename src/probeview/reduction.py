@@ -41,7 +41,6 @@ from .fock import (
 
 __all__ = [
     "ReductionReport",
-    "BetaPrime",
     "binomial_pmf",
     "reduce_number_state",
     "reduce_pure_general",
@@ -61,22 +60,6 @@ class ReductionReport:
     """Reduced state of the general kernel."""
 
     rho0: DensityMatrix
-
-
-@dataclass(frozen=True)
-class BetaPrime:
-    """Effective inverse temperature of a reduced thermal state."""
-
-    beta_prime: float
-    energy: float
-
-    def __post_init__(self) -> None:
-        if not (self.beta_prime > 0.0 and self.energy > 0.0):
-            raise ValidationError("beta_prime and energy must be positive")
-
-    @property
-    def beta_prime_energy(self) -> float:
-        return self.beta_prime * self.energy
 
 
 def binomial_pmf(n: int, p: float, i: int) -> float:
@@ -251,16 +234,18 @@ def reduce_coherent(alpha: complex, split: ModeSplit) -> Coherent:
     return Coherent(complex(alpha) * split.q0)
 
 
-def beta_prime(beta: float, energy: float, q0_sq: float) -> BetaPrime:
-    """Effective inverse temperature after restriction to the region.
+def beta_prime(beta: float, energy: float, q0_sq: float) -> float:
+    """Effective inverse temperature beta' after restriction to the region.
 
     beta' = (1/E) * ln((q0^2 + exp(beta*E) - 1) / q0^2), which is >= beta
-    for q0^2 <= 1 and reduces to beta at q0^2 = 1.
+    for q0^2 <= 1 and reduces to beta at q0^2 = 1.  beta'*E is finite for
+    every q0^2 in (0, 1], subnormal values included.
 
     Raises
     ------
     VacuumLimitError
-        At q0^2 = 0, where beta' diverges (the reduced state is vacuum).
+        At q0^2 = 0 exactly, where beta' diverges (the reduced state is
+        vacuum).
     """
     beta = float(beta)
     energy = float(energy)
@@ -272,17 +257,23 @@ def beta_prime(beta: float, energy: float, q0_sq: float) -> BetaPrime:
     if not 0.0 < q0_sq <= 1.0:
         raise ValidationError(f"q0_sq must lie in (0, 1], got {q0_sq!r}")
     if q0_sq == 1.0:
-        return BetaPrime(beta, energy)
+        return beta
     be = beta * energy
     if be > 690.0:
         # expm1 would overflow; use ln((q0^2 - 1) e^{-bE} + 1) + bE - ln q0^2
         bpe = be + math.log1p((q0_sq - 1.0) * math.exp(-be)) - math.log(q0_sq)
     else:
         bpe = math.log1p(math.expm1(be) / q0_sq)
-    return BetaPrime(bpe / energy, energy)
+        if math.isinf(bpe):
+            # the quotient overflows at tiny q0^2; split the logarithm instead
+            growth = math.expm1(be)
+            bpe = math.log(growth) - math.log(q0_sq) + math.log1p(q0_sq / growth)
+    return bpe / energy
 
 
 def reduce_thermal(beta: float, energy: float, split: ModeSplit) -> Thermal:
-    """Reduced thermal state: thermal again, at inverse temperature beta'."""
-    result = beta_prime(beta, energy, split.q0sq)
-    return Thermal(result.beta_prime, energy)
+    """Reduced thermal state: thermal again, at inverse temperature beta'.
+
+    Raises VacuumLimitError at q0 = 0, where the reduced state is vacuum.
+    """
+    return Thermal(beta_prime(beta, energy, split.q0sq), energy)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from probeview import DensityMatrix, FockVector, Mixture, ModeSplit
+from probeview import DensityMatrix, FockVector, Mixture, ModeSplit, TwoModeVector, ValidationError
 
 
 def number_vector(n: int) -> FockVector:
@@ -40,3 +40,41 @@ def pad_matrix(elems: np.ndarray, dim: int) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     out[: elems.shape[0], : elems.shape[1]] = elems
     return out
+
+
+# Dense ladder operators: the reference that the oracle's matrix-free
+# expansion is checked against.
+
+
+def creation_matrix(cutoff: int) -> np.ndarray:
+    """Creation operator on |0>..|cutoff>: elems[n+1, n] = sqrt(n+1)."""
+    if not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
+        raise ValidationError(f"cutoff must be an integer >= 1, got {cutoff!r}")
+    dim = int(cutoff) + 1
+    elems = np.zeros((dim, dim), dtype=complex)
+    ns = np.arange(dim - 1)
+    elems[ns + 1, ns] = np.sqrt(ns + 1.0)
+    return elems
+
+
+def annihilation_matrix(cutoff: int) -> np.ndarray:
+    """Annihilation operator, the conjugate transpose of the creation matrix."""
+    return creation_matrix(cutoff).conj().T
+
+
+def build_split_creation(split: ModeSplit, cutoff: int) -> np.ndarray:
+    """Dense split creation operator q0*(adag x 1) + q1*(1 x adag).
+
+    Acts on the (cutoff+1)**2-dimensional product space; meant for
+    small cutoffs (operator size grows as (cutoff+1)^4).
+    """
+    adag = creation_matrix(cutoff)
+    eye = np.eye(adag.shape[0], dtype=complex)
+    return split.q0 * np.kron(adag, eye) + split.q1 * np.kron(eye, adag)
+
+
+def total_number_marginal(state: TwoModeVector) -> np.ndarray:
+    """Probability of finding n0 + n1 = n excitations in total."""
+    probs = np.abs(state.coeffs) ** 2
+    n0, n1 = np.indices(probs.shape)
+    return np.bincount((n0 + n1).ravel(), weights=probs.ravel())

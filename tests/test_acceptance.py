@@ -138,16 +138,16 @@ def test_criterion_4_thermal_temperature_map():
                         expand_two_mode(number_vector(n), split, max(n, 1))
                     ).elems
                     diag[: reduced.shape[0]] += weights[n] * np.diag(reduced).real
-                bpe = beta_prime(beta_energy, 1.0, q0sq).beta_prime
+                bpe = beta_prime(beta_energy, 1.0, q0sq)
                 ratio = math.exp(-bpe)
                 geometric = (1.0 - ratio) * ratio ** np.arange(support + 1)
                 assert float(np.max(np.abs(diag - geometric))) <= 1e-8
-        spot = beta_prime(math.log(2.0), 1.0, 0.5).beta_prime
+        spot = beta_prime(math.log(2.0), 1.0, 0.5)
         assert abs(spot - math.log(3.0)) <= 1e-12
         for beta_energy in (0.2, 0.7, math.log(2.0), 2.0, 5.0):
             mean = 1.0 / math.expm1(beta_energy)
             for q0sq in (0.25, 0.5, 1.0):
-                bpe = beta_prime(beta_energy, 1.0, q0sq).beta_prime
+                bpe = beta_prime(beta_energy, 1.0, q0sq)
                 assert abs(1.0 / math.expm1(bpe) - q0sq * mean) <= 1e-9
 
 

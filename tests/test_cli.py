@@ -145,6 +145,41 @@ class TestReduceCommand:
         # thermal at beta'E = ln 3: populations (1 - 1/3) 3^-n
         assert diag[:3] == pytest.approx([2.0 / 3.0, 2.0 / 9.0, 2.0 / 27.0], abs=1e-10)
 
+    @pytest.mark.parametrize("q0sq", ["1e-310", "5e-324"])
+    def test_thermal_at_subnormal_overlap(self, capsys, q0sq):
+        descriptor = '{"family": "thermal", "betaE": 2}'
+        argv = ("reduce", "--state", descriptor, "--q0sq", q0sq, "--cutoff", "8", "--format", "json")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["dim"] == 9
+        assert payload["rho0"][0][0] == {"re": 1, "im": 0}
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            '{"family": "number", "n": 2}',
+            '{"family": "coherent", "alpha": {"re": 1.0, "im": 0.5}}',
+            '{"family": "thermal", "betaE": 2}',
+            '{"family": "custom", "coeffs": [[0.6, 0.0], [-0.48, 0.64]]}',
+            '{"family": "mixture", "weights": [0.5, 0.5], "states": [{"family": "number", "n": 1}, '
+            '{"family": "coherent", "alpha": 0.3}]}',
+        ],
+        ids=["number", "coherent", "thermal", "custom", "mixture"],
+    )
+    def test_zero_overlap_keeps_dimension(self, capsys, state):
+        points = []
+        for q0sq in ("0", "0.5"):
+            argv = ("reduce", "--state", state, "--q0sq", q0sq, "--cutoff", "16", "--format", "json")
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            points.append(json.loads(out))
+        vacuum, half = points
+        assert vacuum["dim"] == half["dim"]
+        assert vacuum["rho0"][0][0] == {"re": 1, "im": 0}
+        assert vacuum["purity"] == 1
+        assert vacuum["mean_occupation"] == 0
+
     def test_custom_descriptor(self, capsys):
         root_half = 1.0 / math.sqrt(2.0)
         descriptor = json.dumps({"family": "custom", "coeffs": [[root_half, 0], [root_half, 0]]})
@@ -243,6 +278,15 @@ class TestSweepCommands:
         cells = lines[2].split(",")
         assert float(cells[0]) == 0.2  # 17-significant-digit round-trip
         assert float(cells[2]) == pytest.approx(0.175753950902173606, abs=1e-12)
+
+    def test_thermal_at_subnormal_overlap(self, capsys):
+        argv = ("sweep-thermal", "--q0sq", "1e-310", "--inv-betae", "0.5", "--format", "json")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        [row] = json.loads(out)["rows"]
+        # beta'E = ln((q0^2 + e^2 - 1) / q0^2) = 2 + ln(1 - e^-2) - ln q0^2 when q0^2 << 1
+        expected = 2.0 + math.log1p(-math.exp(-2.0)) - math.log(1e-310)
+        assert row[2] == pytest.approx(1.0 / expected, rel=1e-14)
 
     def test_thermal_default_grid_size(self, capsys):
         code, out = run_cli(capsys, "sweep-thermal", "--format", "json")
@@ -390,6 +434,11 @@ class TestValidationExits:
                 for energy in ('"abc"', "null", "[1]", "true")
             ),
             ("reduce", "--state", '{"family": "number", "n": 300}', "--q0sq", "0.5", "--cutoff", "8"),
+            ("sweep-purity", "--q0sq", "1.5"),
+            ("sweep-thermal", "--q0sq", "-0.5"),
+            ("oracle-check", "--q0sq", "1.5"),
+            ("oracle-check", "--tol", "0.5"),
+            ("reduce", "--alpha", "1", "--q0sq", "0.5", "--cutoff", "0"),
         ],
     )
     def test_exit_two(self, capsys, argv):

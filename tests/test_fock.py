@@ -106,10 +106,6 @@ class TestValidateDensityMatrix:
         violations = validate_density_matrix(np.array([[0.5, 0.2], [0.1, 0.5]], dtype=complex))
         assert "hermitian" in [v.kind for v in violations]
 
-    def test_single_tol_overrides(self):
-        rho = np.diag([0.6, 0.6]).astype(complex)
-        assert validate_density_matrix(rho, tol=0.5) == []
-
     def test_non_square_flagged(self):
         violations = validate_density_matrix(np.zeros((2, 3), dtype=complex))
         assert [v.kind for v in violations] == ["shape"]

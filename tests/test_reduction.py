@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import cat_vector, number_vector, pad_matrix, spectral_mixture, split_from_amplitude
@@ -388,18 +388,14 @@ class TestReduceCoherent:
 
 class TestBetaPrime:
     def test_full_overlap_unchanged(self):
-        result = beta_prime(0.7, 2.0, 1.0)
-        assert result.beta_prime == 0.7
-        assert result.energy == 2.0
+        assert beta_prime(0.7, 2.0, 1.0) == 0.7
 
     def test_frozen_ln3(self):
         # exp(betaE) = 2 at q0^2 = 1/2 maps to beta'E = ln 3
-        result = beta_prime(math.log(2.0), 1.0, 0.5)
-        assert result.beta_prime == pytest.approx(math.log(3.0), abs=1e-13)
+        assert beta_prime(math.log(2.0), 1.0, 0.5) == pytest.approx(math.log(3.0), abs=1e-13)
 
     def test_frozen_ln5(self):
-        result = beta_prime(math.log(2.0), 1.0, 0.25)
-        assert result.beta_prime == pytest.approx(math.log(5.0), abs=1e-13)
+        assert beta_prime(math.log(2.0), 1.0, 0.25) == pytest.approx(math.log(5.0), abs=1e-13)
 
     def test_vacuum_limit_signaled(self):
         with pytest.raises(VacuumLimitError):
@@ -413,32 +409,46 @@ class TestBetaPrime:
 
     def test_energy_scale_invariance(self):
         # beta'E depends only on the product betaE
-        a = beta_prime(2.0, 3.0, 0.4)
-        b = beta_prime(6.0, 1.0, 0.4)
-        assert a.beta_prime_energy == pytest.approx(b.beta_prime_energy, rel=1e-14)
+        a = beta_prime(2.0, 3.0, 0.4) * 3.0
+        b = beta_prime(6.0, 1.0, 0.4) * 1.0
+        assert a == pytest.approx(b, rel=1e-14)
 
     def test_extreme_cold_input(self):
-        result = beta_prime(800.0, 1.0, 0.5)
-        assert result.beta_prime == pytest.approx(800.0 + math.log(2.0), rel=1e-13)
+        assert beta_prime(800.0, 1.0, 0.5) == pytest.approx(800.0 + math.log(2.0), rel=1e-13)
 
     @given(st.floats(min_value=1e-3, max_value=50.0), st.floats(min_value=1e-6, max_value=1.0))
     def test_never_hotter_than_input(self, beta, q0sq):
+        assert beta_prime(beta, 1.0, q0sq) >= beta * (1.0 - 1e-12)
+
+    @given(
+        st.floats(min_value=1e-3, max_value=1.6e3),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    @example(2.0, 1e-310)
+    @example(2.0, 5e-324)
+    @example(1e-3, 5e-324)
+    def test_finite_for_every_positive_overlap(self, beta, q0sq):
+        # (exp(betaE) - 1) / q0^2 overflows at subnormal q0^2, but beta' does not
         result = beta_prime(beta, 1.0, q0sq)
-        assert result.beta_prime >= beta * (1.0 - 1e-12)
+        assert math.isfinite(result)
+        assert result >= beta
 
     @given(st.floats(min_value=1e-3, max_value=30.0), st.floats(min_value=1e-6, max_value=1.0))
     def test_mean_occupation_identity(self, beta_energy, q0sq):
         # exp(beta'E) - 1 = (exp(betaE) - 1) / q0^2 rearranges to n' = q0^2 n
-        bpe = beta_prime(beta_energy, 1.0, q0sq).beta_prime
+        bpe = beta_prime(beta_energy, 1.0, q0sq)
         lhs = math.expm1(bpe)
         rhs = math.expm1(beta_energy) / q0sq
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    @pytest.mark.parametrize("beta_energy,q0sq", [(0.2, 0.25), (math.log(2.0), 0.5), (5.0, 0.75)])
+    @pytest.mark.parametrize(
+        "beta_energy,q0sq",
+        [(0.2, 0.25), (math.log(2.0), 0.5), (5.0, 0.75), (2.0, 1e-310), (2.0, 5e-324), (1e-3, 5e-324)],
+    )
     def test_high_precision_reference(self, beta_energy, q0sq):
         with mpmath.workdps(40):
             expected = mpmath.log((q0sq + mpmath.e**beta_energy - 1) / q0sq)
-        assert beta_prime(beta_energy, 1.0, q0sq).beta_prime == pytest.approx(
+        assert beta_prime(beta_energy, 1.0, q0sq) == pytest.approx(
             float(expected), rel=1e-14
         )
 
@@ -500,6 +510,6 @@ class TestChannelComposition:
         st.floats(min_value=0.1, max_value=1.0),
     )
     def test_thermal_temperatures_compose(self, beta_energy, qa_sq, qb_sq):
-        step = beta_prime(beta_prime(beta_energy, 1.0, qa_sq).beta_prime, 1.0, qb_sq)
+        step = beta_prime(beta_prime(beta_energy, 1.0, qa_sq), 1.0, qb_sq)
         direct = beta_prime(beta_energy, 1.0, qa_sq * qb_sq)
-        assert step.beta_prime == pytest.approx(direct.beta_prime, rel=1e-12)
+        assert step == pytest.approx(direct, rel=1e-12)
