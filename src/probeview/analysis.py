@@ -100,19 +100,20 @@ def thermal_sweep(q0sq_values: Iterable[float], betaE_grid: Iterable[float]) -> 
     """Reduced-state temperature map over a (1/betaE, q0**2) grid.
 
     One row (inv_betaE, q0sq, inv_beta_primeE) per grid point, ordered by
-    the normalized input temperature 1/betaE, then q0sq.
+    the normalized input temperature 1/betaE, then q0sq.  At q0sq = 0 the
+    reduced state is the vacuum, whose temperature 1/beta'E is 0.
     """
     qs = sorted({float(q) for q in q0sq_values})
-    if not qs or qs[0] <= 0.0 or qs[-1] > 1.0:
-        raise ValidationError("q0sq_values must lie in (0, 1]")
+    if not qs or qs[0] < 0.0 or qs[-1] > 1.0:
+        raise ValidationError("q0sq_values must lie in [0, 1]")
     bes = sorted({float(be) for be in betaE_grid})
     if not bes or bes[0] <= 0.0 or not all(map(math.isfinite, bes)):
         raise ValidationError("betaE_grid values must be positive and finite")
     rows = []
     for be in reversed(bes):  # descending betaE = ascending 1/betaE
         for q0sq in qs:
-            bpe = beta_prime(be, 1.0, q0sq)
-            rows.append((1.0 / be, q0sq, 1.0 / bpe))
+            inv_bpe = 0.0 if q0sq == 0.0 else 1.0 / beta_prime(be, 1.0, q0sq)
+            rows.append((1.0 / be, q0sq, inv_bpe))
     return SweepResult(tuple(rows), ("inv_betaE", "q0sq", "inv_beta_primeE"))
 
 

@@ -158,6 +158,16 @@ def validate_density_matrix(
         unit trace within TRACE_TOL, and has no eigenvalue below
         -PSD_TOL.  For a stack each violation carries the worst magnitude
         over all its matrices.  Purely diagnostic: never raises.
+
+    Notes
+    -----
+    The PSD gate reads the Hermitian part H.  When H has no nonzero
+    off-diagonal entry its lowest eigenvalue is the least diagonal entry.
+    Otherwise one (batched) Cholesky factorization of H + PSD_TOL*I
+    certifies the gate, and ``eigvalsh`` runs only when that fails, to
+    report the lowest eigenvalue.  Cholesky is backward stable, so the
+    verdict can differ from an eigenvalue comparison only within
+    rounding of the boundary -PSD_TOL.
     """
     elems = rho.elems if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     out: list[Violation] = []
@@ -167,16 +177,32 @@ def validate_density_matrix(
     if not (np.all(np.isfinite(elems.real)) and np.all(np.isfinite(elems.imag))):
         out.append(Violation("finite", float("inf")))
         return out
-    herm_defect = float(np.max(np.abs(elems - elems.conj().swapaxes(-2, -1))))
+    adjoint = elems.conj().swapaxes(-2, -1)
+    herm_defect = float(np.max(np.abs(elems - adjoint)))
     if herm_defect > HERMITIAN_TOL:
         out.append(Violation("hermitian", herm_defect))
     trace_defect = float(np.max(np.abs(np.trace(elems, axis1=-2, axis2=-1) - 1.0)))
     if trace_defect > TRACE_TOL:
         out.append(Violation("trace", trace_defect))
-    # eigvalsh needs the Hermitian part; symmetrize so the PSD check still
-    # reports something sensible when hermiticity itself is broken
-    hermitian_part = (elems + elems.conj().swapaxes(-2, -1)) / 2.0
-    min_eig = float(np.min(np.linalg.eigvalsh(hermitian_part)[..., 0]))
+    # the PSD gate reads the Hermitian part, so it still reports something
+    # sensible when hermiticity itself is broken
+    hermitian_part = elems + adjoint
+    hermitian_part /= 2.0
+    diagonal = np.diagonal(hermitian_part, axis1=-2, axis2=-1)
+    if np.count_nonzero(hermitian_part) == np.count_nonzero(diagonal):
+        # no off-diagonal entry: the eigenvalues are the real diagonal
+        min_eig = float(np.min(diagonal.real))
+    else:
+        # lambda_min >= -PSD_TOL iff H + PSD_TOL*I is positive definite, which
+        # one Cholesky factorization certifies; eigvalsh only measures a failure
+        idx = np.arange(elems.shape[-1])
+        hermitian_part[..., idx, idx] += PSD_TOL
+        try:
+            np.linalg.cholesky(hermitian_part)
+        except np.linalg.LinAlgError:
+            min_eig = float(np.min(np.linalg.eigvalsh((elems + adjoint) / 2.0)[..., 0]))
+        else:
+            min_eig = -PSD_TOL  # certified lower bound: no violation
     if min_eig < -PSD_TOL:
         out.append(Violation("positive_semidefinite", min_eig))
     return out

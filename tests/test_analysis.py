@@ -133,9 +133,18 @@ class TestThermalSweep:
         assert firsts == sorted(firsts)
         assert firsts[0] == 0.5  # 1/betaE for betaE = 2
 
+    def test_zero_overlap_is_vacuum(self):
+        result = thermal_sweep([0.0, 1e-300, 0.5], [0.5, 2.0])
+        zero_rows = [row for row in result.rows if row[1] == 0.0]
+        assert [row[0] for row in zero_rows] == [0.5, 2.0]
+        assert all(row[2] == 0.0 for row in zero_rows)
+        # the q0sq -> 0 limit: 1/beta'E ~ 1/ln(1/q0sq) falls towards 0
+        tiny_rows = [row for row in result.rows if row[1] == 1e-300]
+        assert all(0.0 < row[2] < 2e-3 for row in tiny_rows)
+
     def test_input_validation(self):
         with pytest.raises(ValidationError):
-            thermal_sweep([0.0], [1.0])
+            thermal_sweep([-0.1], [1.0])
         with pytest.raises(ValidationError):
             thermal_sweep([0.5], [-1.0])
         with pytest.raises(ValidationError):

@@ -288,6 +288,15 @@ class TestSweepCommands:
         expected = 2.0 + math.log1p(-math.exp(-2.0)) - math.log(1e-310)
         assert row[2] == pytest.approx(1.0 / expected, rel=1e-14)
 
+    def test_thermal_at_zero_overlap_is_vacuum(self, capsys):
+        argv = ("sweep-thermal", "--q0sq", "0:1:0.5", "--inv-betae", "1", "--format", "json")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows[0] == [1, 0, 0]  # the vacuum has temperature 0
+        assert [row[1] for row in rows] == [0, 0.5, 1]
+        assert rows[2] == [1, 1, 1]
+
     def test_thermal_default_grid_size(self, capsys):
         code, out = run_cli(capsys, "sweep-thermal", "--format", "json")
         assert code == 0
@@ -422,7 +431,7 @@ class TestValidationExits:
                 "0",
             ),
             ("reduce", "--alpha", "nope", "--q0sq", "0.5"),
-            ("sweep-thermal", "--q0sq", "0:1:0.5"),
+            ("sweep-thermal", "--inv-betae", "0"),
             *(
                 (
                     "reduce",

@@ -21,11 +21,16 @@ from probeview import (
     TruncationError,
     TruncationPolicy,
     ValidationError,
+    Violation,
     materialize,
     number_expectation,
     overlap_from_profile,
+    reduce_number_state,
+    reduce_pure_general,
     validate_density_matrix,
 )
+from probeview.cli import _reduce_one
+from probeview.fock import PSD_TOL
 
 
 class TestModeSplit:
@@ -181,6 +186,136 @@ class TestValidateStack:
     def test_density_matrix_rejects_a_stack(self):
         with pytest.raises(ValidationError):
             DensityMatrix(np.stack([np.eye(2, dtype=complex) / 2.0] * 2))
+
+
+def _lowest_eigenvalue(rho: np.ndarray) -> float:
+    """Lowest eigenvalue of the Hermitian part over a matrix or a stack, by eigvalsh."""
+    hermitian_part = (rho + rho.conj().swapaxes(-2, -1)) / 2.0
+    return float(np.min(np.linalg.eigvalsh(hermitian_part)[..., 0]))
+
+
+def _eigvalsh_psd(rho: np.ndarray):
+    """The PSD verdict by plain diagonalization: the worst eigenvalue, or None if clean."""
+    min_eig = _lowest_eigenvalue(rho)
+    return min_eig if min_eig < -PSD_TOL else None
+
+
+def _with_spectrum(rng: np.random.Generator, eigenvalues, diagonal: bool) -> np.ndarray:
+    """A Hermitian matrix with the given eigenvalues, rotated unless diagonal."""
+    if diagonal:
+        return np.diag(np.asarray(eigenvalues, dtype=complex))
+    dim = len(eigenvalues)
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    unitary, _ = np.linalg.qr(raw)
+    return (unitary * np.asarray(eigenvalues)) @ unitary.conj().T
+
+
+class TestPsdGate:
+    """The Cholesky and diagonal shortcuts give eigvalsh's verdict and magnitude."""
+
+    @given(
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=0, max_value=4),
+        st.booleans(),
+        st.floats(min_value=-3e-10, max_value=3e-10),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_agrees_with_eigvalsh(self, dim, count, diagonal, offset, seed):
+        rng = np.random.default_rng(seed)
+
+        def one() -> np.ndarray:
+            eigenvalues = rng.uniform(0.0, 1.0, dim)
+            eigenvalues[rng.integers(dim)] = -PSD_TOL + offset * rng.uniform(0.0, 2.0)
+            return _with_spectrum(rng, eigenvalues, diagonal)
+
+        rho = np.stack([one() for _ in range(count)]) if count else one()
+        assume(abs(_lowest_eigenvalue(rho) + PSD_TOL) > 1e-13)
+        expected = _eigvalsh_psd(rho)
+        assert _by_kind(validate_density_matrix(rho)).get("positive_semidefinite") == expected
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("side", [1e-12, -1e-12])
+    def test_just_inside_and_outside_the_boundary(self, diagonal, side):
+        rng = np.random.default_rng(3)
+        eigenvalues = [-PSD_TOL + side, 0.2, 0.3, 0.5 + PSD_TOL - side]
+        rho = _with_spectrum(rng, eigenvalues, diagonal)
+        violations = _by_kind(validate_density_matrix(rho))
+        if side > 0:
+            assert "positive_semidefinite" not in violations
+        else:
+            assert violations["positive_semidefinite"] == _eigvalsh_psd(rho)
+            assert violations["positive_semidefinite"] == pytest.approx(-PSD_TOL - 1e-12, abs=1e-15)
+
+    def test_rank_deficient_states_pass(self):
+        number = reduce_number_state(5, ModeSplit.from_q0sq(1.0))
+        number_kernel = reduce_pure_general(number_vector(5), ModeSplit.from_q0sq(1.0)).rho0
+        coherent = _reduce_one(Coherent(complex(3.0, 1.5)), 0.5, 128, 1e-10)
+        rng = np.random.default_rng(11)
+        raw = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        psi = FockVector(raw / np.linalg.norm(raw))
+        kernel = reduce_pure_general(psi, ModeSplit.from_q0sq(1e-6)).rho0
+        for rho in (number, number_kernel, coherent, kernel):
+            assert validate_density_matrix(rho.elems) == []
+        # the rotated inputs do take the Cholesky path
+        for rho in (coherent, kernel):
+            assert np.count_nonzero(rho.elems - np.diag(rho.elems.diagonal())) > 0
+
+    def test_diagonal_with_one_negative_entry(self):
+        rho = np.diag([0.7, 0.45, -0.15]).astype(complex)
+        assert validate_density_matrix(rho) == [Violation("positive_semidefinite", -0.15)]
+
+    def test_non_hermitian_with_diagonal_hermitian_part(self):
+        # the off-diagonal pair is anti-Hermitian, so the Hermitian part is diag(1.2, -0.2)
+        rho = np.array([[1.2, 0.3], [-0.3, -0.2]], dtype=complex)
+        assert _by_kind(validate_density_matrix(rho)) == {
+            "hermitian": 0.6,
+            "positive_semidefinite": -0.2,
+        }
+        # imaginary diagonal parts cancel in the Hermitian part diag(0.6, 0.4)
+        rho = np.array([[0.6 + 0.1j, 0.3], [-0.3, 0.4 - 0.1j]])
+        assert _by_kind(validate_density_matrix(rho)) == {"hermitian": 0.6}
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_one_bad_matrix_in_a_valid_stack(self, diagonal):
+        rng = np.random.default_rng(5)
+        spectra = [rng.dirichlet(np.ones(6)) for _ in range(5)]
+        stack = np.stack([_with_spectrum(rng, w, diagonal) for w in spectra])
+        assert validate_density_matrix(stack) == []
+        bad = spectra[3].copy()
+        bad[2] += bad[4] + 0.04
+        bad[4] = -0.04  # trace still 1
+        stack[3] = _with_spectrum(rng, bad, diagonal)
+        violations = validate_density_matrix(stack)
+        assert violations == validate_density_matrix(stack[3])
+        assert _by_kind(violations) == {"positive_semidefinite": _eigvalsh_psd(stack[3])}
+
+    def test_valid_input_is_not_diagonalized(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(a):
+                calls.append(name)
+                return real(a)
+
+            monkeypatch.setattr(np.linalg, name, wrapper)
+
+        spy("eigvalsh")
+        spy("cholesky")
+        rng = np.random.default_rng(9)
+        assert validate_density_matrix(np.diag(rng.dirichlet(np.ones(8))).astype(complex)) == []
+        assert calls == []
+        stack = np.stack([_random_density(rng, 4) for _ in range(3)])
+        assert validate_density_matrix(stack) == []
+        assert calls == ["cholesky"]
+        # slightly negative but within the gate: the PSD_TOL shift certifies it
+        stack[0] = _with_spectrum(rng, [-PSD_TOL / 2.0, 0.25, 0.25, 0.5 + PSD_TOL / 2.0], False)
+        assert validate_density_matrix(stack) == []
+        assert calls == ["cholesky"] * 2
+        stack[1] = _with_defect(stack[1], "psd", 0.1)
+        assert [v.kind for v in validate_density_matrix(stack)] == ["positive_semidefinite"]
+        assert calls == ["cholesky"] * 3 + ["eigvalsh"]
 
 
 class TestDensityMatrix:

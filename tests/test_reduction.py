@@ -291,8 +291,8 @@ def _mp_element(psi: np.ndarray, q0sq: float, i: int, j: int) -> complex:
 
 
 class TestKernelLargeN:
-    # parametrized, not hypothesis: each DensityMatrix check at N = 1024 runs
-    # eigvalsh for a sizable fraction of a second
+    # parametrized, not hypothesis: each reduction at N = 1024, with its
+    # Cholesky-certified DensityMatrix check, takes a few tenths of a second
     @pytest.mark.parametrize("support", [256, 1024])
     @pytest.mark.parametrize("q0sq", _LARGE_Q0SQ)
     def test_trace_and_mean_occupation(self, support, q0sq):
