@@ -17,6 +17,7 @@ from .fock import (
     DensityMatrix,
     FockVector,
     ModeSplit,
+    VacuumLimitError,
     ValidationError,
     validate_density_matrix,
 )
@@ -112,7 +113,10 @@ def thermal_sweep(q0sq_values: Iterable[float], betaE_grid: Iterable[float]) -> 
     rows = []
     for be in reversed(bes):  # descending betaE = ascending 1/betaE
         for q0sq in qs:
-            inv_bpe = 0.0 if q0sq == 0.0 else 1.0 / beta_prime(be, 1.0, q0sq)
+            try:
+                inv_bpe = 1.0 / beta_prime(be, 1.0, q0sq)
+            except VacuumLimitError:
+                inv_bpe = 0.0  # the vacuum's temperature
             rows.append((1.0 / be, q0sq, inv_bpe))
     return SweepResult(tuple(rows), ("inv_betaE", "q0sq", "inv_beta_primeE"))
 

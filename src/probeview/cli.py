@@ -277,11 +277,12 @@ def _reduce_one(family: StateFamily, q0sq: float, cutoff: int, tol: float) -> De
         np.fill_diagonal(projector.imag, 0.0)  # c * conj(c) can round to a nonzero imaginary part
         return DensityMatrix(projector)
     if isinstance(family, Thermal):
-        if split.q0 == 0.0:  # beta' diverges: vacuum, on the basis of every other q0sq
+        try:
+            reduced_thermal = reduce_thermal(family.beta, family.energy, split)
+        except VacuumLimitError:  # beta' diverges: vacuum, on the basis of every other q0sq
             vacuum = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
             vacuum[0, 0] = 1.0
             return DensityMatrix(vacuum)
-        reduced_thermal = reduce_thermal(family.beta, family.energy, split)
         return materialize(reduced_thermal, policy).state
     if isinstance(family, Custom):
         psi = family.state

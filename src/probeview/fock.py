@@ -161,13 +161,11 @@ def validate_density_matrix(
 
     Notes
     -----
-    The PSD gate reads the Hermitian part H.  When H has no nonzero
-    off-diagonal entry its lowest eigenvalue is the least diagonal entry.
-    Otherwise one (batched) Cholesky factorization of H + PSD_TOL*I
-    certifies the gate, and ``eigvalsh`` runs only when that fails, to
-    report the lowest eigenvalue.  Cholesky is backward stable, so the
-    verdict can differ from an eigenvalue comparison only within
-    rounding of the boundary -PSD_TOL.
+    The PSD gate reads the Hermitian part H.  One (batched) Cholesky
+    factorization of H + PSD_TOL*I certifies the gate, and ``eigvalsh``
+    runs only when that fails, to report the lowest eigenvalue.  Cholesky
+    is backward stable, so the verdict can differ from an eigenvalue
+    comparison only within rounding of the boundary -PSD_TOL.
     """
     elems = rho.elems if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     out: list[Violation] = []
@@ -186,23 +184,15 @@ def validate_density_matrix(
         out.append(Violation("trace", trace_defect))
     # the PSD gate reads the Hermitian part, so it still reports something
     # sensible when hermiticity itself is broken
-    hermitian_part = elems + adjoint
-    hermitian_part /= 2.0
-    diagonal = np.diagonal(hermitian_part, axis1=-2, axis2=-1)
-    if np.count_nonzero(hermitian_part) == np.count_nonzero(diagonal):
-        # no off-diagonal entry: the eigenvalues are the real diagonal
-        min_eig = float(np.min(diagonal.real))
+    hermitian_part = (elems + adjoint) / 2.0
+    # lambda_min >= -PSD_TOL iff H + PSD_TOL*I is positive definite, which one
+    # Cholesky factorization certifies; eigvalsh only measures a failure
+    try:
+        np.linalg.cholesky(hermitian_part + PSD_TOL * np.eye(elems.shape[-1]))
+    except np.linalg.LinAlgError:
+        min_eig = float(np.min(np.linalg.eigvalsh(hermitian_part)[..., 0]))
     else:
-        # lambda_min >= -PSD_TOL iff H + PSD_TOL*I is positive definite, which
-        # one Cholesky factorization certifies; eigvalsh only measures a failure
-        idx = np.arange(elems.shape[-1])
-        hermitian_part[..., idx, idx] += PSD_TOL
-        try:
-            np.linalg.cholesky(hermitian_part)
-        except np.linalg.LinAlgError:
-            min_eig = float(np.min(np.linalg.eigvalsh((elems + adjoint) / 2.0)[..., 0]))
-        else:
-            min_eig = -PSD_TOL  # certified lower bound: no violation
+        min_eig = -PSD_TOL  # certified lower bound: no violation
     if min_eig < -PSD_TOL:
         out.append(Violation("positive_semidefinite", min_eig))
     return out

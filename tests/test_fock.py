@@ -211,7 +211,7 @@ def _with_spectrum(rng: np.random.Generator, eigenvalues, diagonal: bool) -> np.
 
 
 class TestPsdGate:
-    """The Cholesky and diagonal shortcuts give eigvalsh's verdict and magnitude."""
+    """The Cholesky certificate gives eigvalsh's verdict and magnitude."""
 
     @given(
         st.integers(min_value=1, max_value=24),
@@ -256,9 +256,6 @@ class TestPsdGate:
         kernel = reduce_pure_general(psi, ModeSplit.from_q0sq(1e-6)).rho0
         for rho in (number, number_kernel, coherent, kernel):
             assert validate_density_matrix(rho.elems) == []
-        # the rotated inputs do take the Cholesky path
-        for rho in (coherent, kernel):
-            assert np.count_nonzero(rho.elems - np.diag(rho.elems.diagonal())) > 0
 
     def test_diagonal_with_one_negative_entry(self):
         rho = np.diag([0.7, 0.45, -0.15]).astype(complex)
@@ -304,8 +301,6 @@ class TestPsdGate:
         spy("eigvalsh")
         spy("cholesky")
         rng = np.random.default_rng(9)
-        assert validate_density_matrix(np.diag(rng.dirichlet(np.ones(8))).astype(complex)) == []
-        assert calls == []
         stack = np.stack([_random_density(rng, 4) for _ in range(3)])
         assert validate_density_matrix(stack) == []
         assert calls == ["cholesky"]
