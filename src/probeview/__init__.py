@@ -24,7 +24,6 @@ from .fock import (
     TruncationError,
     TruncationPolicy,
     ValidationError,
-    VacuumLimitError,
     Violation,
     materialize,
     number_expectation,
@@ -69,7 +68,6 @@ __all__ = [
     "Violation",
     "ValidationError",
     "TruncationError",
-    "VacuumLimitError",
     "ConsistencyError",
     "materialize",
     "validate_density_matrix",

@@ -17,7 +17,6 @@ from .fock import (
     DensityMatrix,
     FockVector,
     ModeSplit,
-    VacuumLimitError,
     ValidationError,
     validate_density_matrix,
 )
@@ -101,8 +100,9 @@ def thermal_sweep(q0sq_values: Iterable[float], betaE_grid: Iterable[float]) -> 
     """Reduced-state temperature map over a (1/betaE, q0**2) grid.
 
     One row (inv_betaE, q0sq, inv_beta_primeE) per grid point, ordered by
-    the normalized input temperature 1/betaE, then q0sq.  At q0sq = 0 the
-    reduced state is the vacuum, whose temperature 1/beta'E is 0.
+    the normalized input temperature 1/betaE, then q0sq.  At q0sq = 0,
+    beta'E = +inf: the reduced state is the vacuum, whose temperature
+    1/beta'E is 0.
     """
     qs = sorted({float(q) for q in q0sq_values})
     if not qs or qs[0] < 0.0 or qs[-1] > 1.0:
@@ -113,11 +113,7 @@ def thermal_sweep(q0sq_values: Iterable[float], betaE_grid: Iterable[float]) -> 
     rows = []
     for be in reversed(bes):  # descending betaE = ascending 1/betaE
         for q0sq in qs:
-            try:
-                inv_bpe = 1.0 / beta_prime(be, 1.0, q0sq)
-            except VacuumLimitError:
-                inv_bpe = 0.0  # the vacuum's temperature
-            rows.append((1.0 / be, q0sq, inv_bpe))
+            rows.append((1.0 / be, q0sq, 1.0 / beta_prime(be, q0sq)))
     return SweepResult(tuple(rows), ("inv_betaE", "q0sq", "inv_beta_primeE"))
 
 

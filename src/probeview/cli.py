@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import ConsistencyError, purity, purity_sweep, thermal_sweep
+from .analysis import purity, purity_sweep, thermal_sweep
 from .fock import (
     Coherent,
     Custom,
@@ -32,7 +32,6 @@ from .fock import (
     TruncationError,
     TruncationPolicy,
     ValidationError,
-    VacuumLimitError,
     materialize,
     number_expectation,
     overlap_from_profile,
@@ -216,7 +215,7 @@ def _coeffs_from(obj: dict) -> FockVector:
     return FockVector(np.array(amplitudes))
 
 
-def _family_from_descriptor(obj, cutoff: int, pure_only: bool = False) -> StateFamily:
+def _family_from_descriptor(obj, policy: TruncationPolicy, pure_only: bool = False) -> StateFamily:
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValidationError('state descriptor must be an object with a "family" key')
     family = obj["family"]
@@ -233,10 +232,11 @@ def _family_from_descriptor(obj, cutoff: int, pure_only: bool = False) -> StateF
         raise ValidationError(f"mixture components must be pure states, got {family!r}")
     if family == "thermal":
         beta_energy = _number_from(obj, "betaE", "thermal")
+        # "energy" is checked for older descriptor files; the state depends on betaE alone
         energy = _number_from(obj, "energy", "thermal") if "energy" in obj else 1.0
-        if beta_energy <= 0.0 or energy <= 0.0:
-            raise ValidationError("thermal descriptor needs betaE > 0 and energy > 0")
-        return Thermal(beta_energy / energy, energy)
+        if not (0.0 < beta_energy < math.inf and 0.0 < energy < math.inf):
+            raise ValidationError("thermal descriptor needs finite betaE > 0 and energy > 0")
+        return Thermal(beta_energy)
     if family == "mixture":
         weights = obj.get("weights")
         states = obj.get("states")
@@ -245,28 +245,26 @@ def _family_from_descriptor(obj, cutoff: int, pure_only: bool = False) -> StateF
         if any(isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights):
             raise ValidationError("mixture weights must be numbers")
         members = []
-        policy = TruncationPolicy(cutoff)
         for entry in states:
-            component = _family_from_descriptor(entry, cutoff, pure_only=True)
+            component = _family_from_descriptor(entry, policy, pure_only=True)
             members.append(materialize(component, policy).state)
         return Mixture(tuple(float(w) for w in weights), tuple(members))
     raise ValidationError(f"unknown state family {family!r}")
 
 
-def _parse_state(text: str, cutoff: int) -> StateFamily:
+def _parse_state(text: str, policy: TruncationPolicy) -> StateFamily:
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed state descriptor: {exc}") from None
-    return _family_from_descriptor(obj, cutoff)
+    return _family_from_descriptor(obj, policy)
 
 
-def _reduce_one(family: StateFamily, q0sq: float, cutoff: int, tol: float) -> DensityMatrix:
+def _reduce_one(family: StateFamily, q0sq: float, policy: TruncationPolicy) -> DensityMatrix:
     """Route one reduction through the tightest applicable formula."""
     split = ModeSplit.from_q0sq(q0sq)
-    policy = TruncationPolicy(cutoff, tail_tol=tol)
     if isinstance(family, Number):
         materialize(family, policy)  # the cutoff must hold |n>, as for a mixture component
         return reduce_number_state(family.n, split)
@@ -277,16 +275,10 @@ def _reduce_one(family: StateFamily, q0sq: float, cutoff: int, tol: float) -> De
         np.fill_diagonal(projector.imag, 0.0)  # c * conj(c) can round to a nonzero imaginary part
         return DensityMatrix(projector)
     if isinstance(family, Thermal):
-        try:
-            reduced_thermal = reduce_thermal(family.beta, family.energy, split)
-        except VacuumLimitError:  # beta' diverges: vacuum, on the basis of every other q0sq
-            vacuum = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-            vacuum[0, 0] = 1.0
-            return DensityMatrix(vacuum)
-        return materialize(reduced_thermal, policy).state
+        return materialize(reduce_thermal(family.beta_energy, split), policy).state
     if isinstance(family, Custom):
         psi = family.state
-        if psi.dim > cutoff + 1:
+        if psi.dim > policy.cutoff + 1:
             psi = materialize(family, policy).state
         return reduce_pure_general(psi, split).rho0
     if isinstance(family, Mixture):
@@ -304,16 +296,15 @@ def _csv_matrix_rows(q0sq: float, elems: np.ndarray) -> str:
 
 def _cmd_reduce(args: argparse.Namespace):
     grid = _parse_q0sq(args.q0sq)
-    if args.cutoff < 1:
-        raise ValidationError(f"cutoff must be an integer >= 1, got {args.cutoff!r}")
-    tol = _check_tol(args.tol)
+    # one policy for every materialization of the run, mixture components included
+    policy = TruncationPolicy(args.cutoff, tail_tol=_check_tol(args.tol))
     if args.alpha is not None:
         family = Coherent(_parse_alpha(args.alpha))
     else:
-        family = _parse_state(args.state, args.cutoff)
+        family = _parse_state(args.state, policy)
     results = []
     for q0sq in grid:
-        rho = _reduce_one(family, q0sq, args.cutoff, tol)
+        rho = _reduce_one(family, q0sq, policy)
         results.append(
             {
                 "q0sq": q0sq,
@@ -549,12 +540,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             text = "\n".join(csv_lines) + "\n"
         _write_output(text, args.out)
-    except (ValidationError, TruncationError, VacuumLimitError) as exc:
+    except (ValidationError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -3,7 +3,8 @@
 A single bosonic mode is split into the part overlapping a spatial region
 (amplitude ``q0``) and the complementary part (amplitude ``q1``), with
 ``q0**2 + q1**2 == 1``.  States live on the truncated number basis
-``|0>, ..., |N>``.
+``|0>, ..., |N>``.  A thermal state is the one number betaE in (0, +inf];
++inf is the zero-temperature state, the vacuum.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 __all__ = [
     "ValidationError",
     "TruncationError",
-    "VacuumLimitError",
     "ModeSplit",
     "FockVector",
     "DensityMatrix",
@@ -53,10 +53,6 @@ class TruncationError(RuntimeError):
     def __init__(self, message: str, achieved_tail: float):
         super().__init__(f"{message} (achieved tail mass {achieved_tail:.3e})")
         self.achieved_tail = achieved_tail
-
-
-class VacuumLimitError(ValueError):
-    """Signals the degenerate q0 = 0 limit where a formula diverges."""
 
 
 @dataclass(frozen=True)
@@ -250,24 +246,20 @@ class Coherent:
 
 @dataclass(frozen=True)
 class Thermal:
-    """Gibbs state with diagonal weights proportional to exp(-beta*energy*n)."""
+    """Gibbs state with diagonal weights proportional to exp(-betaE*n).
 
-    beta: float
-    energy: float = 1.0
+    The state depends on beta and the mode energy E only through their
+    product betaE, which may be +inf: the zero-temperature state, i.e.
+    the vacuum.
+    """
+
+    beta_energy: float
 
     def __post_init__(self) -> None:
-        beta = float(self.beta)
-        energy = float(self.energy)
-        if not (math.isfinite(beta) and math.isfinite(energy)):
-            raise ValidationError("thermal parameters must be finite")
-        if beta * energy <= 0.0 or beta <= 0.0 or energy <= 0.0:
-            raise ValidationError("thermal state requires beta > 0 and energy > 0")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "energy", energy)
-
-    @property
-    def beta_energy(self) -> float:
-        return self.beta * self.energy
+        beta_energy = float(self.beta_energy)
+        if not beta_energy > 0.0:
+            raise ValidationError(f"thermal state requires betaE in (0, +inf], got {beta_energy!r}")
+        object.__setattr__(self, "beta_energy", beta_energy)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ to psi (Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)).  For a state
 supported on |0>..|N> every sum is finite, so the result is exact up to
 rounding; a mixture reduces to sum_c w_c G_c G_c^dagger in one matrix
 product.  Number, coherent, and thermal inputs additionally admit closed
-forms.
+forms; the thermal one maps betaE to beta'E, which is +inf (the vacuum)
+at q0 = 0.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .fock import (
     ModeSplit,
     Thermal,
     ValidationError,
-    VacuumLimitError,
 )
 
 __all__ = [
@@ -234,31 +234,25 @@ def reduce_coherent(alpha: complex, split: ModeSplit) -> Coherent:
     return Coherent(complex(alpha) * split.q0)
 
 
-def beta_prime(beta: float, energy: float, q0_sq: float) -> float:
-    """Effective inverse temperature beta' after restriction to the region.
+def beta_prime(beta_energy: float, q0_sq: float) -> float:
+    """Effective beta'E of a thermal state of the given betaE after restriction to the region.
 
-    beta' = (1/E) * ln((q0^2 + exp(beta*E) - 1) / q0^2), which is >= beta
-    for q0^2 <= 1 and reduces to beta at q0^2 = 1.  beta'*E is finite for
-    every q0^2 in (0, 1], subnormal values included.
-
-    Raises
-    ------
-    VacuumLimitError
-        At q0^2 = 0 exactly, where beta' diverges (the reduced state is
-        vacuum).
+    beta'E = ln(1 + (exp(betaE) - 1) / q0^2), which is >= betaE for
+    q0^2 <= 1 and equals betaE at q0^2 = 1.  It depends on beta and the
+    mode energy only through betaE, as the pure-loss channel's n' = q0^2 n
+    does.  It is finite for every q0^2 in (0, 1], subnormal values
+    included, and +inf at q0^2 = 0, where the reduced state is the vacuum.
     """
-    beta = float(beta)
-    energy = float(energy)
+    be = float(beta_energy)
     q0_sq = float(q0_sq)
-    if not (math.isfinite(beta) and beta > 0.0 and math.isfinite(energy) and energy > 0.0):
-        raise ValidationError("beta and energy must be positive and finite")
+    if not be > 0.0:
+        raise ValidationError(f"betaE must lie in (0, +inf], got {be!r}")
+    if not 0.0 <= q0_sq <= 1.0:
+        raise ValidationError(f"q0_sq must lie in [0, 1], got {q0_sq!r}")
     if q0_sq == 0.0:
-        raise VacuumLimitError("q0 = 0 reduces a thermal state to vacuum; beta' diverges")
-    if not 0.0 < q0_sq <= 1.0:
-        raise ValidationError(f"q0_sq must lie in (0, 1], got {q0_sq!r}")
+        return math.inf
     if q0_sq == 1.0:
-        return beta
-    be = beta * energy
+        return be
     if be > 690.0:
         # expm1 would overflow; use ln((q0^2 - 1) e^{-bE} + 1) + bE - ln q0^2
         bpe = be + math.log1p((q0_sq - 1.0) * math.exp(-be)) - math.log(q0_sq)
@@ -268,12 +262,12 @@ def beta_prime(beta: float, energy: float, q0_sq: float) -> float:
             # the quotient overflows at tiny q0^2; split the logarithm instead
             growth = math.expm1(be)
             bpe = math.log(growth) - math.log(q0_sq) + math.log1p(q0_sq / growth)
-    return bpe / energy
+    return bpe
 
 
-def reduce_thermal(beta: float, energy: float, split: ModeSplit) -> Thermal:
-    """Reduced thermal state: thermal again, at inverse temperature beta'.
+def reduce_thermal(beta_energy: float, split: ModeSplit) -> Thermal:
+    """Reduced thermal state: thermal again, at beta'E = beta_prime(betaE, q0^2).
 
-    Raises VacuumLimitError at q0 = 0, where the reduced state is vacuum.
+    At q0 = 0, beta'E = +inf and the result is the vacuum.
     """
-    return Thermal(beta_prime(beta, energy, split.q0sq), energy)
+    return Thermal(beta_prime(beta_energy, split.q0sq))

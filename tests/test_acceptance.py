@@ -138,16 +138,16 @@ def test_criterion_4_thermal_temperature_map():
                         expand_two_mode(number_vector(n), split, max(n, 1))
                     ).elems
                     diag[: reduced.shape[0]] += weights[n] * np.diag(reduced).real
-                bpe = beta_prime(beta_energy, 1.0, q0sq)
+                bpe = beta_prime(beta_energy, q0sq)
                 ratio = math.exp(-bpe)
                 geometric = (1.0 - ratio) * ratio ** np.arange(support + 1)
                 assert float(np.max(np.abs(diag - geometric))) <= 1e-8
-        spot = beta_prime(math.log(2.0), 1.0, 0.5)
+        spot = beta_prime(math.log(2.0), 0.5)
         assert abs(spot - math.log(3.0)) <= 1e-12
         for beta_energy in (0.2, 0.7, math.log(2.0), 2.0, 5.0):
             mean = 1.0 / math.expm1(beta_energy)
             for q0sq in (0.25, 0.5, 1.0):
-                bpe = beta_prime(beta_energy, 1.0, q0sq)
+                bpe = beta_prime(beta_energy, q0sq)
                 assert abs(1.0 / math.expm1(bpe) - q0sq * mean) <= 1e-9
 
 
@@ -190,11 +190,10 @@ def test_criterion_6_reduction_composes():
             assert abs(stepped.alpha - 1.5 * qa * qb) <= 1e-9
             # thermal family
             stepped_beta = reduce_thermal(
-                reduce_thermal(0.9, 1.0, split_from_amplitude(qa)).beta,
-                1.0,
+                reduce_thermal(0.9, split_from_amplitude(qa)).beta_energy,
                 split_from_amplitude(qb),
             ).beta_energy
-            direct_beta = reduce_thermal(0.9, 1.0, split_from_amplitude(qa * qb)).beta_energy
+            direct_beta = reduce_thermal(0.9, split_from_amplitude(qa * qb)).beta_energy
             assert abs(stepped_beta - direct_beta) <= 1e-9
 
 
@@ -216,7 +215,7 @@ def test_criterion_7_mean_occupation_scaling():
             before = number_expectation(original)
             for split in splits:
                 reduced = materialize(
-                    reduce_thermal(beta_energy, 1.0, split), TruncationPolicy(64)
+                    reduce_thermal(beta_energy, split), TruncationPolicy(64)
                 ).state
                 assert abs(number_expectation(reduced) - split.q0sq * before) <= 1e-9
 

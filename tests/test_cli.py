@@ -156,6 +156,35 @@ class TestReduceCommand:
         assert payload["rho0"][0][0] == {"re": 1, "im": 0}
 
     @pytest.mark.parametrize(
+        "beta_energy,energy,q0sq,cutoff",
+        [
+            *((1.3, energy, "0:1:0.1", "24") for energy in (0.37, 1e-5, 3, 7.1)),
+            (1, 1e-307, "1e-10", "8"),
+            (1, 1e-320, "1e-10", "8"),
+        ],
+    )
+    def test_thermal_energy_does_not_change_output(self, capsys, beta_energy, energy, q0sq, cutoff):
+        # the state depends on betaE alone; "energy" is only validated
+        thermal = {"family": "thermal", "betaE": beta_energy}
+        outputs = []
+        for descriptor in (thermal, {**thermal, "energy": energy}):
+            argv = ("reduce", "--state", json.dumps(descriptor), "--q0sq", q0sq, "--cutoff", cutoff)
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("tol,expected", [("1e-3", 0), (None, 2)])
+    def test_tol_reaches_mixture_components(self, capsys, tol, expected):
+        # a coherent alpha = 3 cut at 30 discards 7.9e-9, within 1e-3 but not 1e-10
+        descriptor = (
+            '{"family": "mixture", "weights": [1], "states": [{"family": "coherent", "alpha": 3}]}'
+        )
+        argv = ["reduce", "--state", descriptor, "--q0sq", "1", "--cutoff", "30"]
+        code, _ = run_cli(capsys, *argv, *(("--tol", tol) if tol else ()))
+        assert code == expected
+
+    @pytest.mark.parametrize(
         "state",
         [
             '{"family": "number", "n": 2}',
@@ -448,6 +477,8 @@ class TestValidationExits:
             ("oracle-check", "--q0sq", "1.5"),
             ("oracle-check", "--tol", "0.5"),
             ("reduce", "--alpha", "1", "--q0sq", "0.5", "--cutoff", "0"),
+            ("reduce", "--state", '{"family": "thermal", "betaE": 1e400}', "--q0sq", "0.5"),
+            ("reduce", "--state", '{"family": "thermal", "betaE": NaN}', "--q0sq", "0.5"),
         ],
     )
     def test_exit_two(self, capsys, argv):

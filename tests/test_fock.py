@@ -29,7 +29,7 @@ from probeview import (
     reduce_pure_general,
     validate_density_matrix,
 )
-from probeview.cli import _reduce_one
+from probeview.cli import _family_from_descriptor, _reduce_one
 from probeview.fock import PSD_TOL
 
 
@@ -249,7 +249,8 @@ class TestPsdGate:
     def test_rank_deficient_states_pass(self):
         number = reduce_number_state(5, ModeSplit.from_q0sq(1.0))
         number_kernel = reduce_pure_general(number_vector(5), ModeSplit.from_q0sq(1.0)).rho0
-        coherent = _reduce_one(Coherent(complex(3.0, 1.5)), 0.5, 128, 1e-10)
+        policy = TruncationPolicy(128, tail_tol=1e-10)
+        coherent = _reduce_one(Coherent(complex(3.0, 1.5)), 0.5, policy)
         rng = np.random.default_rng(11)
         raw = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         psi = FockVector(raw / np.linalg.norm(raw))
@@ -334,10 +335,17 @@ class TestFamilyValidation:
         with pytest.raises(ValidationError):
             Number(-1)
 
-    @pytest.mark.parametrize("beta,energy", [(0.0, 1.0), (-1.0, -1.0), (1.0, 0.0)])
-    def test_thermal_rejects_nonpositive(self, beta, energy):
+    @pytest.mark.parametrize("beta_energy", [0.0, -1.0, math.nan])
+    def test_thermal_rejects_invalid(self, beta_energy):
         with pytest.raises(ValidationError):
-            Thermal(beta, energy)
+            Thermal(beta_energy)
+
+    @pytest.mark.parametrize("beta_energy,energy", [(0.0, 1.0), (-1.0, -1.0), (1.0, 0.0)])
+    def test_thermal_rejects_nonpositive(self, beta_energy, energy):
+        # Thermal holds betaE alone; a descriptor's "energy" is still validated
+        descriptor = {"family": "thermal", "betaE": beta_energy, "energy": energy}
+        with pytest.raises(ValidationError):
+            _family_from_descriptor(descriptor, TruncationPolicy(8))
 
     def test_mixture_rejects_bad_weights(self):
         states = (number_vector(0), number_vector(1))
@@ -379,6 +387,14 @@ class TestMaterialize:
         diag = result.state.diagonal()
         assert np.allclose(diag[:4], [0.5, 0.25, 0.125, 0.0625], rtol=0.0, atol=1e-12)
         assert result.discarded_mass == pytest.approx(0.5**65, rel=1e-12)
+
+    @pytest.mark.parametrize("cutoff", [1, 8, 64])
+    def test_zero_temperature_thermal_is_vacuum(self, cutoff):
+        result = materialize(Thermal(math.inf), TruncationPolicy(cutoff))
+        vacuum = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+        vacuum[0, 0] = 1.0
+        assert np.array_equal(result.state.elems, vacuum)
+        assert result.discarded_mass == 0.0
 
     def test_number_above_cutoff_raises(self):
         with pytest.raises(TruncationError) as exc:

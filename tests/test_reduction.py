@@ -18,7 +18,6 @@ from probeview import (
     Thermal,
     TruncationPolicy,
     ValidationError,
-    VacuumLimitError,
     beta_prime,
     binomial_pmf,
     compare_states,
@@ -388,37 +387,39 @@ class TestReduceCoherent:
 
 class TestBetaPrime:
     def test_full_overlap_unchanged(self):
-        assert beta_prime(0.7, 2.0, 1.0) == 0.7
+        assert beta_prime(0.7, 1.0) == 0.7
 
     def test_frozen_ln3(self):
         # exp(betaE) = 2 at q0^2 = 1/2 maps to beta'E = ln 3
-        assert beta_prime(math.log(2.0), 1.0, 0.5) == pytest.approx(math.log(3.0), abs=1e-13)
+        assert beta_prime(math.log(2.0), 0.5) == pytest.approx(math.log(3.0), abs=1e-13)
 
     def test_frozen_ln5(self):
-        assert beta_prime(math.log(2.0), 1.0, 0.25) == pytest.approx(math.log(5.0), abs=1e-13)
+        assert beta_prime(math.log(2.0), 0.25) == pytest.approx(math.log(5.0), abs=1e-13)
 
     def test_vacuum_limit_signaled(self):
-        with pytest.raises(VacuumLimitError):
-            beta_prime(1.0, 1.0, 0.0)
+        # at q0 = 0 the reduced state is the vacuum, whose beta'E is +inf
+        assert beta_prime(1.0, 0.0) == math.inf
+        assert beta_prime(math.log(2.0), 0.0) == math.inf
 
     def test_domain_validation(self):
         with pytest.raises(ValidationError):
-            beta_prime(1.0, 1.0, 1.5)
+            beta_prime(1.0, 1.5)
         with pytest.raises(ValidationError):
-            beta_prime(-1.0, 1.0, 0.5)
+            beta_prime(-1.0, 0.5)
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValidationError):
+                beta_prime(bad, 0.5)
 
-    def test_energy_scale_invariance(self):
-        # beta'E depends only on the product betaE
-        a = beta_prime(2.0, 3.0, 0.4) * 3.0
-        b = beta_prime(6.0, 1.0, 0.4) * 1.0
-        assert a == pytest.approx(b, rel=1e-14)
+    @pytest.mark.parametrize("q0sq", [0.0, 1e-300, 0.5, 1.0])
+    def test_zero_temperature_input_stays_vacuum(self, q0sq):
+        assert beta_prime(math.inf, q0sq) == math.inf
 
     def test_extreme_cold_input(self):
-        assert beta_prime(800.0, 1.0, 0.5) == pytest.approx(800.0 + math.log(2.0), rel=1e-13)
+        assert beta_prime(800.0, 0.5) == pytest.approx(800.0 + math.log(2.0), rel=1e-13)
 
     @given(st.floats(min_value=1e-3, max_value=50.0), st.floats(min_value=1e-6, max_value=1.0))
     def test_never_hotter_than_input(self, beta, q0sq):
-        assert beta_prime(beta, 1.0, q0sq) >= beta * (1.0 - 1e-12)
+        assert beta_prime(beta, q0sq) >= beta * (1.0 - 1e-12)
 
     @given(
         st.floats(min_value=1e-3, max_value=1.6e3),
@@ -429,14 +430,14 @@ class TestBetaPrime:
     @example(1e-3, 5e-324)
     def test_finite_for_every_positive_overlap(self, beta, q0sq):
         # (exp(betaE) - 1) / q0^2 overflows at subnormal q0^2, but beta' does not
-        result = beta_prime(beta, 1.0, q0sq)
+        result = beta_prime(beta, q0sq)
         assert math.isfinite(result)
         assert result >= beta
 
     @given(st.floats(min_value=1e-3, max_value=30.0), st.floats(min_value=1e-6, max_value=1.0))
     def test_mean_occupation_identity(self, beta_energy, q0sq):
         # exp(beta'E) - 1 = (exp(betaE) - 1) / q0^2 rearranges to n' = q0^2 n
-        bpe = beta_prime(beta_energy, 1.0, q0sq)
+        bpe = beta_prime(beta_energy, q0sq)
         lhs = math.expm1(bpe)
         rhs = math.expm1(beta_energy) / q0sq
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -448,19 +449,19 @@ class TestBetaPrime:
     def test_high_precision_reference(self, beta_energy, q0sq):
         with mpmath.workdps(40):
             expected = mpmath.log((q0sq + mpmath.e**beta_energy - 1) / q0sq)
-        assert beta_prime(beta_energy, 1.0, q0sq) == pytest.approx(
+        assert beta_prime(beta_energy, q0sq) == pytest.approx(
             float(expected), rel=1e-14
         )
 
 
 class TestReduceThermal:
     def test_identity_split(self):
-        reduced = reduce_thermal(0.9, 1.5, ModeSplit(1.0, 0.0))
-        assert reduced == Thermal(0.9, 1.5)
+        reduced = reduce_thermal(0.9, ModeSplit(1.0, 0.0))
+        assert reduced == Thermal(0.9)
 
     def test_vacuum_limit(self):
-        with pytest.raises(VacuumLimitError):
-            reduce_thermal(1.0, 1.0, ModeSplit(0.0, 1.0))
+        assert reduce_thermal(1.0, ModeSplit(0.0, 1.0)) == Thermal(math.inf)
+        assert reduce_thermal(math.log(2.0), ModeSplit.from_q0sq(0.0)) == Thermal(math.inf)
 
     def test_matches_number_state_mixture(self):
         # reduce the thermal weights rung by rung and compare diagonals
@@ -469,7 +470,7 @@ class TestReduceThermal:
         weights = materialize(Thermal(math.log(2.0)), TruncationPolicy(cutoff)).state.diagonal()
         mix = Mixture(tuple(weights / weights.sum()), tuple(number_vector(n) for n in range(cutoff + 1)))
         by_mixture = reduce_mixed(mix, split).rho0
-        reduced = reduce_thermal(math.log(2.0), 1.0, split)
+        reduced = reduce_thermal(math.log(2.0), split)
         assert reduced.beta_energy == pytest.approx(math.log(3.0), abs=1e-13)
         closed = materialize(reduced, TruncationPolicy(cutoff)).state
         assert np.max(np.abs(by_mixture.diagonal() - closed.diagonal())) <= 1e-10
@@ -478,7 +479,7 @@ class TestReduceThermal:
     def test_mean_occupation_scales(self, beta_energy, q0sq):
         split = ModeSplit.from_q0sq(q0sq)
         original = materialize(Thermal(beta_energy), TruncationPolicy(64)).state
-        reduced = materialize(reduce_thermal(beta_energy, 1.0, split), TruncationPolicy(64)).state
+        reduced = materialize(reduce_thermal(beta_energy, split), TruncationPolicy(64)).state
         assert number_expectation(reduced) == pytest.approx(
             q0sq * number_expectation(original), abs=1e-9
         )
@@ -510,6 +511,6 @@ class TestChannelComposition:
         st.floats(min_value=0.1, max_value=1.0),
     )
     def test_thermal_temperatures_compose(self, beta_energy, qa_sq, qb_sq):
-        step = beta_prime(beta_prime(beta_energy, 1.0, qa_sq), 1.0, qb_sq)
-        direct = beta_prime(beta_energy, 1.0, qa_sq * qb_sq)
+        step = beta_prime(beta_prime(beta_energy, qa_sq), qb_sq)
+        direct = beta_prime(beta_energy, qa_sq * qb_sq)
         assert step == pytest.approx(direct, rel=1e-12)
