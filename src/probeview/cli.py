@@ -2,8 +2,12 @@
 
 Output is deterministic: floats are always rendered with %.17g (exact
 round-trip), mappings keep insertion order, and identical flags yield
-byte-identical bytes.  Exit codes: 0 success, 2 validation error,
-3 oracle disagreement, 4 file I/O error.
+byte-identical bytes.  A matrix's elements are formatted once per distinct
+magnitude, with the sign prefixed, since %.17g is sign-symmetric.  The whole
+output is rendered as a list of pieces, about one per matrix, before the
+output is opened; the pieces are then written one by one, never joined into
+one string.  Exit codes: 0 success, 2 validation error, 3 oracle
+disagreement, 4 file I/O error.
 """
 
 from __future__ import annotations
@@ -61,11 +65,19 @@ def _fmt_float(value: float) -> str:
 
 
 def _fmt_floats(values: np.ndarray) -> list[str]:
-    """_fmt_float of every element in C order, in one pass over the array.
+    """_fmt_float of every element in C order, formatting each distinct magnitude once.
 
-    Adding 0.0 turns -0.0 into 0.0, which %.17g prints as "0".
+    %.17g is sign-symmetric, so a negative element is "-" before the text of
+    its magnitude; Hermitian matrices repeat most magnitudes.  Adding 0.0
+    turns -0.0 into 0.0, which prints as "0"; NaN has no sign and prints
+    as "nan", and -inf as "-inf".
     """
-    return ["%.17g" % v for v in (np.ravel(values) + 0.0).tolist()]
+    flat = np.ravel(values) + 0.0
+    magnitudes, inverse = np.unique(np.abs(flat), return_inverse=True)
+    texts = np.array(["%.17g" % v for v in magnitudes.tolist()], dtype=object)[inverse]
+    negative = flat < 0.0
+    texts[negative] = "-" + texts[negative]
+    return texts.tolist()
 
 
 def _complex_cells(elems: np.ndarray) -> tuple[str, ...]:
@@ -103,30 +115,43 @@ def _render_matrix(elems: np.ndarray, indent: int) -> str:
     return ("[\n" + ",\n".join([row] * rows) + "\n" + pad + "]") % _complex_cells(elems)
 
 
-def _render_json(value, indent: int = 0) -> str:
-    """Deterministic pretty JSON with %.17g floats; no external state."""
+def _render_json(value, pieces: list[str], indent: int = 0) -> None:
+    """Append deterministic pretty JSON with %.17g floats to pieces; no external state.
+
+    A matrix is one piece, its elements formatted once per distinct
+    magnitude; the brackets, keys and separators around it are small pieces
+    of their own, so no piece holds the whole document.  main writes the
+    pieces only after the whole document is rendered.
+    """
     if isinstance(value, np.ndarray):
-        return _render_matrix(value, indent)
+        pieces.append(_render_matrix(value, indent))
+        return
     scalar = _json_scalar(value)
     if scalar is not None:
-        return scalar
-    pad = " " * indent
-    inner = " " * (indent + 2)
+        pieces.append(scalar)
+        return
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [f"{json.dumps(str(k))}: {_render_json(v, indent + 2)}" for k, v in value.items()]
-        if all(_json_scalar(v) is not None for v in value.values()) and len(parts) <= 4:
-            return "{" + ", ".join(parts) + "}"
-        return "{\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            return "[]"
-        parts = [_render_json(v, indent + 2) for v in value]
-        if all(_json_scalar(v) is not None for v in value):
-            return "[" + ", ".join(parts) + "]"
-        return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
-    raise ValidationError(f"cannot serialize {type(value).__name__}")
+        keys = [json.dumps(str(k)) + ": " for k in value]
+        items = list(value.values())
+        opening, closing = "{", "}"
+        inline = len(items) <= 4
+    elif isinstance(value, (list, tuple)):
+        keys = [""] * len(value)
+        items = list(value)
+        opening, closing = "[", "]"
+        inline = True
+    else:
+        raise ValidationError(f"cannot serialize {type(value).__name__}")
+    scalars = [_json_scalar(v) for v in items]
+    if inline and None not in scalars:
+        pieces.append(opening + ", ".join(k + v for k, v in zip(keys, scalars)) + closing)
+        return
+    inner = " " * (indent + 2)
+    pieces.append(opening)
+    for position, (key, item) in enumerate(zip(keys, items)):
+        pieces.append((",\n" if position else "\n") + inner + key)
+        _render_json(item, pieces, indent + 2)
+    pieces.append("\n" + " " * indent + closing)
 
 
 def _csv_row(values) -> str:
@@ -522,12 +547,13 @@ _COMMANDS = {
 }
 
 
-def _write_output(text: str, path: str) -> None:
+def _write_output(pieces: list[str], path: str) -> None:
+    """Write the rendered pieces in order, each encoded on its own."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -536,10 +562,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # (JSON payload, CSV lines, exit code); reduce builds only the one its format needs
         payload, csv_lines, code = _COMMANDS[args.command](args)
         if args.format == "json":
-            text = _render_json(payload) + "\n"
+            pieces: list[str] = []
+            _render_json(payload, pieces)
+            pieces.append("\n")
         else:
-            text = "\n".join(csv_lines) + "\n"
-        _write_output(text, args.out)
+            pieces = [piece for line in csv_lines for piece in (line, "\n")]
+        _write_output(pieces, args.out)
     except (ValidationError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -340,7 +340,8 @@ def _truncate_amplitudes(coeffs: np.ndarray, policy: TruncationPolicy, what: str
 
 
 def _materialize_coherent(alpha: complex, policy: TruncationPolicy):
-    lam = abs(alpha) ** 2
+    # a product, not ** 2: the square of |alpha| > ~1.34e154 is inf instead of OverflowError
+    lam = abs(alpha) * abs(alpha)
     if lam / 2.0 > 700.0:
         # exp(-|alpha|^2 / 2) underflows; no float cutoff can represent this
         raise ValidationError(f"coherent amplitude too large to materialize: |alpha|^2 = {lam!r}")

@@ -78,3 +78,12 @@ def total_number_marginal(state: TwoModeVector) -> np.ndarray:
     probs = np.abs(state.coeffs) ** 2
     n0, n1 = np.indices(probs.shape)
     return np.bincount((n0 + n1).ravel(), weights=probs.ravel())
+
+
+def per_element_fmt(values) -> list[str]:
+    """%.17g of every element in C order, one conversion each; -0.0 prints as "0".
+
+    The reference that the CLI's batch formatter, which formats each
+    distinct magnitude once, is checked against.
+    """
+    return ["%.17g" % v for v in (np.ravel(values) + 0.0).tolist()]

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from probeview.cli import _fmt_float, _fmt_floats, main
+from helpers import per_element_fmt
+from probeview import Coherent, TruncationPolicy
+from probeview.cli import _fmt_float, _fmt_floats, _reduce_one, main
 
 
 def run_cli(capsys, *argv):
@@ -479,11 +481,20 @@ class TestValidationExits:
             ("reduce", "--alpha", "1", "--q0sq", "0.5", "--cutoff", "0"),
             ("reduce", "--state", '{"family": "thermal", "betaE": 1e400}', "--q0sq", "0.5"),
             ("reduce", "--state", '{"family": "thermal", "betaE": NaN}', "--q0sq", "0.5"),
+            ("reduce", "--alpha", "1e200", "--q0sq", "0.5"),
         ],
     )
     def test_exit_two(self, capsys, argv):
         code, _ = run_cli(capsys, *argv)
         assert code == 2
+
+    def test_huge_amplitude_at_zero_overlap_is_vacuum(self, capsys):
+        # the reduced amplitude q0 * alpha is 0, so nothing too large is materialized
+        code, out = run_cli(capsys, "reduce", "--alpha", "1e200", "--q0sq", "0", "--cutoff", "2")
+        assert code == 0
+        rho = json.loads(out)["rho0"]
+        assert rho[0][0] == {"re": 1, "im": 0}
+        assert all(cell == {"re": 0, "im": 0} for row in rho for cell in row[1:])
 
     def test_nested_mixture_rejected(self, capsys):
         descriptor = json.dumps(
@@ -568,6 +579,10 @@ class TestDeterminism:
         assert first.stdout  # sanity: the runs actually produced output
 
 
+# few magnitudes, so that repeats and +/- pairs of one magnitude are common
+_MAGNITUDE_POOL = [0.0, 5e-324, 1e-190, 0.1, 1.0, 2.5e300, math.inf, math.nan]
+
+
 class TestBatchFormatter:
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     @example([0.0])
@@ -582,3 +597,34 @@ class TestBatchFormatter:
         for text, value in zip(strings, values):
             if not math.isnan(value):
                 assert float(text) == value
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(_MAGNITUDE_POOL), st.booleans()), min_size=1, max_size=60
+        )
+    )
+    @example([(0.0, True), (0.0, False)])
+    @example([(math.nan, True), (math.nan, False), (math.inf, True), (math.inf, False)])
+    def test_repeated_magnitudes_with_random_signs(self, draws):
+        # negating 0.0 and NaN gives -0.0 and a NaN with its sign bit set
+        values = np.array([-magnitude if negative else magnitude for magnitude, negative in draws])
+        assert _fmt_floats(values) == per_element_fmt(values)
+
+    @pytest.mark.parametrize("alpha", [-1.5, 1.5j])
+    def test_exactly_hermitian_reduced_matrix(self, alpha):
+        # a real or imaginary amplitude makes c_i conj(c_j) exact, so the matrix is exactly
+        # Hermitian: every off-diagonal magnitude repeats, and some of its zeros are -0.0
+        elems = _reduce_one(Coherent(alpha), 0.6, TruncationPolicy(32)).elems
+        assert np.array_equal(elems, elems.conj().T)
+        cells = np.stack([elems.real, elems.imag], axis=-1)
+        assert np.unique(np.abs(cells)).size <= cells.size // 2
+        assert np.any(np.signbit(cells) & (cells == 0.0))
+        assert _fmt_floats(cells) == per_element_fmt(cells)
+
+    def test_three_dimensional_stack(self):
+        policy = TruncationPolicy(24)
+        stack = np.stack(
+            [_reduce_one(Coherent(1.2 + 0.4j), q0sq, policy).elems for q0sq in (0.0, 0.3, 1.0)]
+        )
+        for part in (stack.real, stack.imag):
+            assert _fmt_floats(part) == per_element_fmt(part)

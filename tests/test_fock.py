@@ -406,6 +406,12 @@ class TestMaterialize:
             materialize(Coherent(3.0), TruncationPolicy(9))
         assert 0.3 < exc.value.achieved_tail < 0.5
 
+    @pytest.mark.parametrize("alpha", [1e200, 1e200j, -3e160 + 4e160j])
+    def test_huge_coherent_amplitude_is_a_validation_error(self, alpha):
+        # |alpha|^2 overflows to inf here; it must still name the amplitude, not raise OverflowError
+        with pytest.raises(ValidationError, match="coherent amplitude too large"):
+            materialize(Coherent(alpha), TruncationPolicy(10))
+
     def test_thermal_cutoff_too_small(self):
         with pytest.raises(TruncationError):
             materialize(Thermal(0.05), TruncationPolicy(16))
