@@ -12,7 +12,6 @@ CSV/JSON.
 from .analysis import ConsistencyError, SweepResult, cat_purity, purity, purity_sweep, thermal_sweep
 from .fock import (
     Coherent,
-    Custom,
     DensityMatrix,
     FockVector,
     Materialized,
@@ -60,7 +59,6 @@ __all__ = [
     "Number",
     "Coherent",
     "Thermal",
-    "Custom",
     "Mixture",
     "StateFamily",
     "TruncationPolicy",

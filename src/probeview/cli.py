@@ -18,14 +18,13 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .analysis import purity, purity_sweep, thermal_sweep
 from .fock import (
     Coherent,
-    Custom,
     DensityMatrix,
     FockVector,
     Mixture,
@@ -57,11 +56,8 @@ _RANDOM_STATE_COUNT = 100
 
 
 def _fmt_float(value: float) -> str:
-    """Fixed 17-significant-digit rendering; collapses signed zero."""
-    value = float(value)
-    if value == 0.0:
-        return "0"
-    return "%.17g" % value
+    """Fixed 17-significant-digit rendering; adding 0.0 collapses signed zero."""
+    return "%.17g" % (float(value) + 0.0)
 
 
 def _fmt_floats(values: np.ndarray) -> list[str]:
@@ -83,12 +79,6 @@ def _fmt_floats(values: np.ndarray) -> list[str]:
 def _complex_cells(elems: np.ndarray) -> tuple[str, ...]:
     """Formatted (re, im) of every element, interleaved in C order."""
     return tuple(_fmt_floats(np.stack([elems.real, elems.imag], axis=-1)))
-
-
-def _fmt_number(value: Union[int, float]) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return _fmt_float(value)
 
 
 def _json_scalar(value) -> Optional[str]:
@@ -155,7 +145,7 @@ def _render_json(value, pieces: list[str], indent: int = 0) -> None:
 
 
 def _csv_row(values) -> str:
-    return ",".join(_fmt_number(v) if not isinstance(v, str) else v for v in values)
+    return ",".join(v if isinstance(v, str) else _json_scalar(v) for v in values)
 
 
 def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
@@ -252,7 +242,7 @@ def _family_from_descriptor(obj, policy: TruncationPolicy, pure_only: bool = Fal
     if family == "coherent":
         return Coherent(_alpha_from(obj))
     if family == "custom":
-        return Custom(_coeffs_from(obj))
+        return _coeffs_from(obj)
     if pure_only:
         raise ValidationError(f"mixture components must be pure states, got {family!r}")
     if family == "thermal":
@@ -301,11 +291,10 @@ def _reduce_one(family: StateFamily, q0sq: float, policy: TruncationPolicy) -> D
         return DensityMatrix(projector)
     if isinstance(family, Thermal):
         return materialize(reduce_thermal(family.beta_energy, split), policy).state
-    if isinstance(family, Custom):
-        psi = family.state
-        if psi.dim > policy.cutoff + 1:
-            psi = materialize(family, policy).state
-        return reduce_pure_general(psi, split).rho0
+    if isinstance(family, FockVector):
+        if family.dim > policy.cutoff + 1:
+            family = materialize(family, policy).state
+        return reduce_pure_general(family, split).rho0
     if isinstance(family, Mixture):
         return reduce_mixed(family, split).rho0
     raise ValidationError(f"unknown state family: {family!r}")
@@ -386,6 +375,8 @@ def _cmd_sweep_thermal(args: argparse.Namespace):
     if any(v <= 0.0 for v in inv_betae):
         raise ValidationError("--inv-betae values must be positive")
     betae_grid = [1.0 / v for v in inv_betae]
+    if not all(map(math.isfinite, betae_grid)):
+        raise ValidationError("--inv-betae values must have a finite reciprocal (betaE = 1/value)")
     sweep = thermal_sweep(grid, betae_grid)
     payload, lines = _sweep_payload("sweep-thermal", sweep)
     return payload, lines, 0
@@ -464,7 +455,6 @@ def _cmd_profile_overlap(args: argparse.Namespace):
         raise ValidationError(f"malformed profile file {profile!r}: {exc}") from None
     if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
         raise ValidationError("profile file needs two columns: position value")
-    samples = [(float(x), complex(v)) for x, v in table]
     if region_text is None:
         region = (float(table[0, 0]), float(table[-1, 0]))
     else:
@@ -475,7 +465,7 @@ def _cmd_profile_overlap(args: argparse.Namespace):
             region = (float(parts[0]), float(parts[1]))
         except ValueError:
             raise ValidationError(f"--region expects numbers, got {region_text!r}") from None
-    q0sq = overlap_from_profile(samples, region)
+    q0sq = overlap_from_profile(table, region)
     payload = {
         "command": "profile-overlap",
         "profile": profile,

@@ -24,7 +24,6 @@ __all__ = [
     "Number",
     "Coherent",
     "Thermal",
-    "Custom",
     "Mixture",
     "StateFamily",
     "TruncationPolicy",
@@ -114,7 +113,8 @@ class FockVector:
             raise ValidationError("coefficients must form a nonempty 1-D sequence")
         if not (np.all(np.isfinite(coeffs.real)) and np.all(np.isfinite(coeffs.imag))):
             raise ValidationError("coefficients must be finite")
-        norm_sq = float(np.sum(np.abs(coeffs) ** 2))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, which the check rejects
+            norm_sq = float(np.sum(np.abs(coeffs) ** 2))
         if abs(norm_sq - 1.0) > STATE_NORM_TOL:
             raise ValidationError(f"state not normalized: sum |psi_n|^2 = {norm_sq!r}")
         coeffs.setflags(write=False)
@@ -263,17 +263,6 @@ class Thermal:
 
 
 @dataclass(frozen=True)
-class Custom:
-    """Arbitrary pure state given by explicit amplitudes."""
-
-    state: FockVector
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.state, FockVector):
-            raise ValidationError("custom state must wrap a FockVector")
-
-
-@dataclass(frozen=True)
 class Mixture:
     """Convex combination of pure states with the given weights."""
 
@@ -295,7 +284,7 @@ class Mixture:
         object.__setattr__(self, "states", states)
 
 
-StateFamily = Union[Number, Coherent, Thermal, Custom, Mixture]
+StateFamily = Union[Number, Coherent, Thermal, FockVector, Mixture]
 
 
 @dataclass(frozen=True)
@@ -341,7 +330,10 @@ def _truncate_amplitudes(coeffs: np.ndarray, policy: TruncationPolicy, what: str
 
 def _materialize_coherent(alpha: complex, policy: TruncationPolicy):
     # a product, not ** 2: the square of |alpha| > ~1.34e154 is inf instead of OverflowError
-    lam = abs(alpha) * abs(alpha)
+    try:
+        lam = abs(alpha) * abs(alpha)
+    except OverflowError:  # |alpha| itself exceeds the largest float
+        lam = math.inf
     if lam / 2.0 > 700.0:
         # exp(-|alpha|^2 / 2) underflows; no float cutoff can represent this
         raise ValidationError(f"coherent amplitude too large to materialize: |alpha|^2 = {lam!r}")
@@ -380,8 +372,8 @@ def materialize(family: StateFamily, policy: TruncationPolicy) -> Materialized:
     Parameters
     ----------
     family
-        Number, Coherent, Custom (yield a FockVector), or Thermal, Mixture
-        (yield a DensityMatrix).
+        Number, Coherent, FockVector (yield a FockVector, truncated or
+        padded to the cutoff), or Thermal, Mixture (yield a DensityMatrix).
     policy
         Cutoff and the largest neglected tail mass tolerated.
 
@@ -410,8 +402,8 @@ def materialize(family: StateFamily, policy: TruncationPolicy) -> Materialized:
     if isinstance(family, Coherent):
         coeffs, discarded = _materialize_coherent(family.alpha, policy)
         return Materialized(FockVector(coeffs), discarded)
-    if isinstance(family, Custom):
-        coeffs, discarded = _truncate_amplitudes(family.state.coeffs, policy, "custom state")
+    if isinstance(family, FockVector):
+        coeffs, discarded = _truncate_amplitudes(family.coeffs, policy, "custom state")
         return Materialized(FockVector(coeffs), discarded)
     if isinstance(family, Thermal):
         diag, discarded = _materialize_thermal(family, policy)
@@ -428,22 +420,14 @@ def materialize(family: StateFamily, policy: TruncationPolicy) -> Materialized:
     raise ValidationError(f"unknown state family: {family!r}")
 
 
-def number_expectation(
-    state: Union[FockVector, DensityMatrix, np.ndarray],
-) -> float:
+def number_expectation(state: Union[FockVector, DensityMatrix]) -> float:
     """Mean occupation sum(n * P(n)) of a pure or mixed state."""
     if isinstance(state, FockVector):
         probs = state.probabilities()
     elif isinstance(state, DensityMatrix):
         probs = state.diagonal()
     else:
-        arr = np.asarray(state)
-        if arr.ndim == 1:
-            probs = np.abs(arr.astype(complex)) ** 2
-        elif arr.ndim == 2:
-            probs = arr.diagonal().real
-        else:
-            raise ValidationError("state must be a vector or a square matrix")
+        raise ValidationError("state must be a FockVector or a DensityMatrix")
     return float(np.arange(probs.size) @ probs)
 
 

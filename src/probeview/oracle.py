@@ -3,7 +3,7 @@
 States are built by repeatedly applying the split creation operator
 q0*(adag x 1) + q1*(1 x adag) to the two-mode vacuum and the region
 marginal is obtained by a literal index contraction.  No code is shared
-with the closed forms or the series in `reduction`; agreement between
+with the closed forms or the kernel in `reduction`; agreement between
 the two paths is the correctness argument.
 """
 
@@ -117,49 +117,17 @@ def expand_two_mode(
     return TwoModeVector(out[0] if single else out)
 
 
-def partial_trace_numeric(
-    state: Union[TwoModeVector, np.ndarray],
-    keep: int = 0,
-) -> Union[DensityMatrix, np.ndarray]:
-    """Trace out one mode of a two-mode state by literal index contraction.
+def partial_trace_numeric(state: TwoModeVector) -> Union[DensityMatrix, np.ndarray]:
+    """Region marginal (rho_0)_{ij} = sum_k c[i, k] conj(c[j, k]), by literal index contraction.
 
-    Parameters
-    ----------
-    state
-        TwoModeVector, or a density matrix on the product basis given as
-        a square array of side (N+1)**2 with row-major (n0, n1) indexing.
-    keep
-        Which mode survives: 0 (the region, default) or 1 (the complement).
-
-    Returns
-    -------
-    DensityMatrix or numpy.ndarray
-        (rho_keep)_{ij} = sum_k rho_{(i,k),(j,k)} for keep = 0, and the
-        index-swapped contraction for keep = 1.  A TwoModeVector holding a
-        stack of states gives the stack of marginals, shape (S, N+1, N+1),
-        not validated: pass it to ``validate_density_matrix``.
+    A TwoModeVector holding a stack of states gives the stack of marginals,
+    shape (S, N+1, N+1), not validated: pass it to ``validate_density_matrix``.
     """
-    if keep not in (0, 1):
-        raise ValidationError(f"keep must be 0 or 1, got {keep!r}")
-    if isinstance(state, TwoModeVector):
-        grid = state.coeffs
-        if keep == 0:
-            rho = np.einsum("...ik,...jk->...ij", grid, grid.conj())
-        else:
-            rho = np.einsum("...ki,...kj->...ij", grid, grid.conj())
-        return rho if rho.ndim == 3 else DensityMatrix(rho)
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError("two-mode density matrix must be square")
-    side = math.isqrt(arr.shape[0])
-    if side * side != arr.shape[0]:
-        raise ValidationError("two-mode density matrix side must be a perfect square")
-    blocks = arr.reshape(side, side, side, side)
-    if keep == 0:
-        rho = np.einsum("ikjk->ij", blocks)
-    else:
-        rho = np.einsum("kikj->ij", blocks)
-    return DensityMatrix(rho)
+    if not isinstance(state, TwoModeVector):
+        raise ValidationError("state must be a TwoModeVector")
+    grid = state.coeffs
+    rho = np.einsum("...ik,...jk->...ij", grid, grid.conj())
+    return rho if rho.ndim == 3 else DensityMatrix(rho)
 
 
 class CompareResult(NamedTuple):

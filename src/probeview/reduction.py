@@ -133,10 +133,14 @@ def _kraus_factors(coeffs: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return amps[:, :size] * sliding_window_view(padded, size, axis=-1)
 
 
-def _real_diagonal(rho: np.ndarray) -> np.ndarray:
-    """Zero the imaginary part of each diagonal, which rounding leaves in G G^dagger."""
+def _gram(factors: np.ndarray, weights) -> np.ndarray:
+    """(factors * weights) @ factors^dagger over the last two axes, diagonal exactly real.
+
+    ``factors`` is conjugated in place, not into a copy, to keep the peak memory down.
+    """
+    rho = (factors * weights) @ np.conjugate(factors, out=factors).swapaxes(-2, -1)
     diag = np.arange(rho.shape[-1])
-    rho.imag[..., diag, diag] = 0.0
+    rho.imag[..., diag, diag] = 0.0  # rounding leaves an imaginary part there
     return rho
 
 
@@ -160,9 +164,7 @@ def _reduced_elems(
     amps = _loss_amplitudes(dim, split)
     factors = [_kraus_factors(state.coeffs, amps) for state in states]
     stacked = factors[0] if len(factors) == 1 else np.hstack(factors)
-    weighted = stacked * np.repeat(weights, [state.dim for state in states])
-    # conjugating in place, not into a copy, keeps the peak memory down
-    return _real_diagonal(weighted @ np.conjugate(stacked, out=stacked).T)
+    return _gram(stacked, np.repeat(weights, [state.dim for state in states]))
 
 
 def reduce_pure_states(states: Sequence[FockVector], split: ModeSplit) -> np.ndarray:
@@ -194,8 +196,7 @@ def reduce_pure_states(states: Sequence[FockVector], split: ModeSplit) -> np.nda
     if split.q0 == 0.0:
         return _vacuum_stack(len(states), dim)
     amps = _loss_amplitudes(dim, split)
-    factors = _kraus_factors(np.stack([state.coeffs for state in states]), amps)
-    return _real_diagonal(factors @ np.conjugate(factors).swapaxes(-2, -1))
+    return _gram(_kraus_factors(np.stack([state.coeffs for state in states]), amps), 1.0)
 
 
 def reduce_pure_general(psi: FockVector, split: ModeSplit) -> ReductionReport:
@@ -215,7 +216,7 @@ def reduce_pure_general(psi: FockVector, split: ModeSplit) -> ReductionReport:
     """
     if not isinstance(psi, FockVector):
         raise ValidationError("input state must be a FockVector")
-    return ReductionReport(DensityMatrix(reduce_pure_states((psi,), split)[0]))
+    return ReductionReport(DensityMatrix(_reduced_elems((1.0,), (psi,), split)))
 
 
 def reduce_mixed(family: Mixture, split: ModeSplit) -> ReductionReport:

@@ -482,11 +482,25 @@ class TestValidationExits:
             ("reduce", "--state", '{"family": "thermal", "betaE": 1e400}', "--q0sq", "0.5"),
             ("reduce", "--state", '{"family": "thermal", "betaE": NaN}', "--q0sq", "0.5"),
             ("reduce", "--alpha", "1e200", "--q0sq", "0.5"),
+            ("reduce", "--alpha", "1.5e308,1.5e308", "--q0sq", "1"),
         ],
     )
     def test_exit_two(self, capsys, argv):
         code, _ = run_cli(capsys, *argv)
         assert code == 2
+
+    def test_overflowing_custom_coefficients_print_one_error_line(self, capsys):
+        descriptor = '{"family": "custom", "coeffs": [[1e308, 0], [1e308, 0]]}'
+        code = main(["reduce", "--state", descriptor, "--q0sq", "0.5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_inv_betae_without_finite_reciprocal_names_the_flag(self, capsys):
+        code = main(["sweep-thermal", "--inv-betae", "1e-310"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--inv-betae" in err
 
     def test_huge_amplitude_at_zero_overlap_is_vacuum(self, capsys):
         # the reduced amplitude q0 * alpha is 0, so nothing too large is materialized

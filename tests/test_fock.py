@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from helpers import number_vector
 from probeview import (
     Coherent,
-    Custom,
     DensityMatrix,
     FockVector,
     Mixture,
@@ -85,6 +84,11 @@ class TestFockVector:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             FockVector(np.array([float("nan"), 1.0]))
+
+    def test_overflowing_norm_is_a_validation_error(self):
+        # sum |psi_n|^2 overflows to inf, which fails the normalization check without a warning
+        with pytest.raises(ValidationError, match="not normalized"):
+            FockVector(np.array([1e308, 1e308]))
 
     def test_coefficients_immutable(self):
         psi = number_vector(2)
@@ -356,10 +360,6 @@ class TestFamilyValidation:
         with pytest.raises(ValidationError):
             Mixture((1.0,), states)
 
-    def test_custom_requires_fock_vector(self):
-        with pytest.raises(ValidationError):
-            Custom([1.0, 0.0])
-
     @pytest.mark.parametrize("cutoff,tail_tol", [(0, 1e-12), (4, 0.0), (4, 1.0)])
     def test_truncation_policy_bounds(self, cutoff, tail_tol):
         with pytest.raises(ValidationError):
@@ -406,9 +406,10 @@ class TestMaterialize:
             materialize(Coherent(3.0), TruncationPolicy(9))
         assert 0.3 < exc.value.achieved_tail < 0.5
 
-    @pytest.mark.parametrize("alpha", [1e200, 1e200j, -3e160 + 4e160j])
+    @pytest.mark.parametrize("alpha", [1e200, 1e200j, -3e160 + 4e160j, 1.5e308 + 1.5e308j])
     def test_huge_coherent_amplitude_is_a_validation_error(self, alpha):
-        # |alpha|^2 overflows to inf here; it must still name the amplitude, not raise OverflowError
+        # |alpha|^2, or |alpha| itself for the last case, overflows; it must still name the
+        # amplitude, not raise OverflowError
         with pytest.raises(ValidationError, match="coherent amplitude too large"):
             materialize(Coherent(alpha), TruncationPolicy(10))
 
@@ -442,7 +443,7 @@ class TestMaterialize:
         coeffs = np.zeros(7, dtype=complex)
         coeffs[0] = math.sqrt(1.0 - 1e-13)
         coeffs[6] = tail_amp
-        result = materialize(Custom(FockVector(coeffs)), TruncationPolicy(3))
+        result = materialize(FockVector(coeffs), TruncationPolicy(3))
         assert result.state.dim == 4
         assert result.discarded_mass == pytest.approx(1e-13, rel=1e-6)
         assert abs(np.linalg.norm(result.state.coeffs) - 1.0) <= 1e-12
@@ -451,7 +452,7 @@ class TestMaterialize:
         coeffs = np.zeros(7, dtype=complex)
         coeffs[0] = coeffs[6] = math.sqrt(0.5)
         with pytest.raises(TruncationError):
-            materialize(Custom(FockVector(coeffs)), TruncationPolicy(3))
+            materialize(FockVector(coeffs), TruncationPolicy(3))
 
     def test_mixture_density(self):
         mix = Mixture((0.5, 0.5), (number_vector(0), number_vector(1)))
@@ -492,13 +493,15 @@ class TestNumberExpectation:
         state = materialize(Thermal(math.log(2.0)), TruncationPolicy(64)).state
         assert number_expectation(state) == pytest.approx(1.0, abs=1e-10)
 
-    def test_accepts_raw_arrays(self):
-        assert number_expectation(np.array([0.0, 1.0 + 0.0j])) == 1.0
-        assert number_expectation(np.diag([0.5, 0.5]).astype(complex)) == 0.5
-
     def test_rejects_higher_rank(self):
         with pytest.raises(ValidationError):
             number_expectation(np.zeros((2, 2, 2)))
+
+    def test_rejects_raw_arrays(self):
+        with pytest.raises(ValidationError):
+            number_expectation(np.array([0.0, 1.0 + 0.0j]))
+        with pytest.raises(ValidationError):
+            number_expectation(np.diag([0.5, 0.5]).astype(complex))
 
 
 class TestOverlapFromProfile:

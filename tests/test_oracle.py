@@ -97,13 +97,15 @@ class TestStackedExpansion:
         cutoff = max(max(dims) - 1, 1)
         stacked = expand_two_mode(states, split, cutoff)
         marginals = partial_trace_numeric(stacked)
-        others = partial_trace_numeric(stacked, keep=1)
+        # the complement marginals are the region marginals of the transposed grids
+        others = partial_trace_numeric(TwoModeVector(stacked.coeffs.swapaxes(-2, -1)))
         assert marginals.shape == (len(states), cutoff + 1, cutoff + 1)
         for k, psi in enumerate(states):
             alone = expand_two_mode(psi, split, cutoff)
             assert np.array_equal(stacked.coeffs[k], alone.coeffs)
             assert np.array_equal(marginals[k], partial_trace_numeric(alone).elems)
-            assert np.array_equal(others[k], partial_trace_numeric(alone, keep=1).elems)
+            swapped = TwoModeVector(alone.coeffs.swapaxes(-2, -1))
+            assert np.array_equal(others[k], partial_trace_numeric(swapped).elems)
 
     def test_sequence_of_one_keeps_the_state_axis(self):
         psi = random_fock_vectors(1, 3, seed=4)[0]
@@ -241,36 +243,16 @@ class TestPartialTraceNumeric:
         split = split_from_amplitude(0.7)
         swapped = ModeSplit(split.q1, split.q0)
         two = expand_two_mode(psi, split, 4)
-        kept_second = partial_trace_numeric(two, keep=1).elems
-        direct = partial_trace_numeric(expand_two_mode(psi, swapped, 4), keep=0).elems
+        # the transposed grid holds the modes in the other order
+        kept_second = partial_trace_numeric(TwoModeVector(two.coeffs.swapaxes(-2, -1))).elems
+        direct = partial_trace_numeric(expand_two_mode(psi, swapped, 4)).elems
         assert np.max(np.abs(kept_second - direct)) <= 1e-12
 
-    def test_density_matrix_branch_matches_vector_branch(self):
-        bell = np.zeros((2, 2), dtype=complex)
-        bell[0, 0] = bell[1, 1] = 1.0 / math.sqrt(2.0)
-        vec = TwoModeVector(bell)
-        rho_full = np.outer(bell.ravel(), bell.ravel().conj())
-        assert (
-            np.max(np.abs(partial_trace_numeric(rho_full).elems - partial_trace_numeric(vec).elems))
-            == 0.0
-        )
-        assert (
-            np.max(
-                np.abs(
-                    partial_trace_numeric(rho_full, keep=1).elems
-                    - partial_trace_numeric(vec, keep=1).elems
-                )
-            )
-            == 0.0
-        )
-
     def test_shape_validation(self):
-        with pytest.raises(ValidationError):
-            partial_trace_numeric(np.zeros((6, 6)))  # side is not a perfect square
-        with pytest.raises(ValidationError):
-            partial_trace_numeric(np.zeros((4, 9)))
-        with pytest.raises(ValidationError):
-            partial_trace_numeric(TwoModeVector(np.eye(2) / math.sqrt(2.0)), keep=2)
+        # only a TwoModeVector is traced; a raw array of any shape is rejected
+        for raw in (np.zeros((6, 6)), np.zeros((4, 9)), np.eye(4) / 2.0):
+            with pytest.raises(ValidationError):
+                partial_trace_numeric(raw)
 
 
 class TestCompareStates:
@@ -338,13 +320,13 @@ class TestOracleAgreement:
         assert worst <= 1e-10
 
     def test_marginal_symmetric_under_swap(self):
-        # tracing the kept mode of (q0, q1) equals tracing the other mode of (q1, q0)
+        # tracing the kept mode of (q0, q1) equals tracing the other mode of (q1, q0),
+        # which is the region marginal of the transposed grid
         psi = random_fock_vectors(1, 6, seed=9)[0]
         split = split_from_amplitude(0.35)
-        a = partial_trace_numeric(expand_two_mode(psi, split, 6), keep=0).elems
-        b = partial_trace_numeric(
-            expand_two_mode(psi, ModeSplit(split.q1, split.q0), 6), keep=1
-        ).elems
+        a = partial_trace_numeric(expand_two_mode(psi, split, 6)).elems
+        other = expand_two_mode(psi, ModeSplit(split.q1, split.q0), 6)
+        b = partial_trace_numeric(TwoModeVector(other.coeffs.swapaxes(-2, -1))).elems
         assert np.max(np.abs(a - b)) <= 1e-12
 
 

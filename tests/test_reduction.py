@@ -268,6 +268,18 @@ def _seeded_state(dim: int, seed: int) -> FockVector:
     return FockVector(raw / np.linalg.norm(raw))
 
 
+class TestOneGramPath:
+    @pytest.mark.parametrize("q0sq", _LARGE_Q0SQ)
+    @pytest.mark.parametrize("support", [8, 256])
+    def test_pure_stack_and_mixture_agree_bitwise(self, support, q0sq):
+        # every driver forms G G^dagger in the one routine, so the results share every bit
+        psi = _seeded_state(support + 1, support + 7)
+        split = ModeSplit.from_q0sq(q0sq)
+        pure = reduce_pure_general(psi, split).rho0.elems
+        assert np.array_equal(pure, reduce_pure_states((psi,), split)[0])
+        assert np.array_equal(pure, reduce_mixed(Mixture((1.0,), (psi,)), split).rho0.elems)
+
+
 @functools.lru_cache(maxsize=None)
 def _large_reduction(support: int, q0sq: float):
     """One random state of support N and its reduction, shared by the large-N checks."""
