@@ -42,6 +42,7 @@ from .fock import (
 )
 from .oracle import expand_two_mode, partial_trace_numeric, random_fock_vectors
 from .reduction import (
+    _binomial_diagonals,
     reduce_coherent,
     reduce_mixed,
     reduce_number_state,
@@ -53,6 +54,11 @@ from .reduction import (
 __all__ = ["main"]
 
 _RANDOM_STATE_COUNT = 100
+# far above every grid of the golden entries, the benchmark and the defaults (at most 100 points)
+_MAX_GRID_POINTS = 100_000
+# bytes of oracle-check's two-mode stack: --max-n 24 needs 1.25 MB, and 132 is the largest
+# --max-n accepted (66 MB; a whole run at 132 peaks near 470 MB)
+_MAX_ORACLE_BYTES = 2**26
 
 
 def _fmt_float(value: float) -> str:
@@ -163,8 +169,13 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
         raise ValidationError(f"{flag} values must be finite")
     if step <= 0.0 or stop < start:
         raise ValidationError(f"{flag} needs step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-6))
-    values = [start + k * step for k in range(count + 1)]
+    span = (stop - start) / step  # inf when stop - start overflows
+    points = math.floor(span + 1e-6) + 1 if math.isfinite(span) else math.inf
+    if points > _MAX_GRID_POINTS:
+        raise ValidationError(
+            f"{flag} {text} gives {points:.6g} points; the limit is {_MAX_GRID_POINTS}"
+        )
+    values = [start + k * step for k in range(points)]
     if abs(values[-1] - stop) <= 1e-9 * max(1.0, abs(stop)):
         values[-1] = stop
     return tuple(values)
@@ -386,8 +397,10 @@ def _cmd_oracle_check(args: argparse.Namespace):
     """Closed form and kernel against the two-mode oracle, one stack per q0sq point.
 
     Each grid point expands the number basis |0>..|max_n> and the random
-    states in one call, validates every oracle and kernel matrix, and
-    compares whole stacks; the closed forms are zero-padded to max_n+1.
+    states in one call, builds the closed forms as one stack zero-padded to
+    max_n+1, runs the gates once on each of the three stacks, and compares
+    whole stacks.  A --max-n whose two-mode stack would exceed
+    _MAX_ORACLE_BYTES is rejected before anything is allocated.
     """
     grid = _parse_q0sq(args.q0sq)
     tol = _check_tol(args.tol)
@@ -396,21 +409,27 @@ def _cmd_oracle_check(args: argparse.Namespace):
         raise ValidationError(f"--max-n must be >= 1, got {max_n}")
     if seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {seed}")
+    implied = 16 * (max_n + 1 + _RANDOM_STATE_COUNT) * (max_n + 1) ** 2
+    if implied > _MAX_ORACLE_BYTES:
+        raise ValidationError(
+            f"--max-n {max_n} implies {implied} bytes for the two-mode expansion; "
+            f"the limit is {_MAX_ORACLE_BYTES} bytes"
+        )
     basis = [FockVector(row) for row in np.eye(max_n + 1, dtype=complex)]
     randoms = random_fock_vectors(_RANDOM_STATE_COUNT, max_n, seed)
     worst_number = 0.0
     worst_random = 0.0
+    diagonal = np.arange(max_n + 1)
+    closed = np.zeros((max_n + 1, max_n + 1, max_n + 1), dtype=complex)
     for q0sq in grid:
         split = ModeSplit.from_q0sq(q0sq)
         numeric = partial_trace_numeric(expand_two_mode(basis + randoms, split, max_n))
         series = reduce_pure_states(randoms, split)
-        for stack in (numeric, series):
+        closed[:, diagonal, diagonal] = _binomial_diagonals(range(max_n + 1), split)
+        for stack in (numeric, series, closed):
             violations = validate_density_matrix(stack)
             if violations:
                 raise ValidationError(f"invalid density matrix: {violations}")
-        closed = np.zeros((max_n + 1, max_n + 1, max_n + 1), dtype=complex)
-        for n in range(max_n + 1):
-            closed[n, : n + 1, : n + 1] = reduce_number_state(n, split).elems
         worst_number = max(worst_number, float(np.max(np.abs(closed - numeric[: max_n + 1]))))
         worst_random = max(worst_random, float(np.max(np.abs(series - numeric[max_n + 1 :]))))
     cases_number = len(basis) * len(grid)

@@ -1,10 +1,12 @@
 """Brute-force verifier on the explicit two-mode basis |n0, n1>.
 
-States are built by repeatedly applying the split creation operator
-q0*(adag x 1) + q1*(1 x adag) to the two-mode vacuum and the region
-marginal is obtained by a literal index contraction.  No code is shared
-with the closed forms or the kernel in `reduction`; agreement between
-the two paths is the correctness argument.
+The rungs (split creation)^n |0,0> / sqrt(n!) are built by repeatedly
+applying the split creation operator q0*(adag x 1) + q1*(1 x adag) to the
+two-mode vacuum, and folded into the states with matrix products over
+blocks of rungs.  The region marginal is the matrix product c c^dagger of
+each coefficient grid, which sums over the complement index.  No code is
+shared with the closed forms or the kernel in `reduction`; agreement
+between the two paths is the correctness argument.
 """
 
 from __future__ import annotations
@@ -53,13 +55,20 @@ class TwoModeVector:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-def _apply_split_creation(grid: np.ndarray, q0: float, q1: float) -> np.ndarray:
-    """Matrix-free action of the split creation operator on a coefficient grid."""
+def _apply_split_creation(
+    grid: np.ndarray, q0: float, q1: float, overwrite: bool = False
+) -> np.ndarray:
+    """Matrix-free action of the split creation operator on a coefficient grid.
+
+    With ``overwrite`` the columns of ``grid`` are scaled in place instead
+    of into a temporary, which leaves ``grid`` unusable afterwards.
+    """
     out = np.zeros_like(grid)
     rows = np.sqrt(np.arange(1.0, grid.shape[0]))[:, None]
     cols = np.sqrt(np.arange(1.0, grid.shape[1]))[None, :]
-    out[1:, :] += q0 * rows * grid[:-1, :]
-    out[:, 1:] += q1 * cols * grid[:, :-1]
+    np.multiply(q0 * rows, grid[:-1, :], out=out[1:, :])
+    shifted = grid[:, :-1]
+    out[:, 1:] += np.multiply(q1 * cols, shifted, out=shifted if overwrite else None)
     return out
 
 
@@ -69,9 +78,13 @@ def expand_two_mode(
     """Expand single-mode states onto the explicit two-mode basis.
 
     Builds (split creation)^n |0,0> / sqrt(n!) by repeated operator
-    application (never the binomial closed form) and combines the rungs
-    with the amplitudes of ``psi``.  The rungs are built once per call and
-    serve every state of a sequence.
+    application (never the binomial closed form) and folds the rungs into
+    the states with matrix products, amplitudes @ rungs, in blocks of at
+    most len(psi) rungs, so the rung buffer is never larger than the
+    output; a single state holds one rung at a time.  The rungs are built
+    once per call and serve every state of a sequence.  Rung n is real and
+    lives on the antidiagonal n0 + n1 = n, so each coefficient receives one
+    product and its bits do not depend on the blocking or the stack.
 
     Parameters
     ----------
@@ -107,18 +120,31 @@ def expand_two_mode(
     for row, state in zip(amplitudes, states):
         row[: state.dim] = state.coeffs
     dim = int(cutoff) + 1
-    rung = np.zeros((dim, dim), dtype=complex)
-    rung[0, 0] = 1.0
-    out = amplitudes[:, 0, None, None] * rung
+    block = min(len(states), support)
+    rungs = np.zeros((block, dim, dim), dtype=complex)  # rungs[k] holds rung first + k
+    rungs[0, 0, 0] = 1.0
+    out = np.zeros((len(states), dim * dim), dtype=complex)
+    first = 0
     for n in range(1, support):
-        # rung holds (split creation)^n |0,0> / sqrt(n!), exactly normalized
-        rung = _apply_split_creation(rung, split.q0, split.q1) / math.sqrt(n)
-        out = out + amplitudes[:, n, None, None] * rung
+        folded = n - first == block
+        if folded:
+            out += amplitudes[:, first:n] @ rungs.reshape(block, -1)
+            first = n
+        # rung n = (split creation)^n |0,0> / sqrt(n!), exactly normalized; rung
+        # n-1 may serve as scratch once it is folded in
+        rungs[n - first] = _apply_split_creation(
+            rungs[n - first - 1], split.q0, split.q1, overwrite=folded
+        )
+        rungs[n - first] /= math.sqrt(n)
+    filled = support - first
+    out += amplitudes[:, first:] @ rungs[:filled].reshape(filled, -1)
+    del rungs  # freed before the output is copied and checked
+    out = out.reshape(len(states), dim, dim)
     return TwoModeVector(out[0] if single else out)
 
 
 def partial_trace_numeric(state: TwoModeVector) -> Union[DensityMatrix, np.ndarray]:
-    """Region marginal (rho_0)_{ij} = sum_k c[i, k] conj(c[j, k]), by literal index contraction.
+    """Region marginal (rho_0)_{ij} = sum_k c[i, k] conj(c[j, k]), as the product c c^dagger.
 
     A TwoModeVector holding a stack of states gives the stack of marginals,
     shape (S, N+1, N+1), not validated: pass it to ``validate_density_matrix``.
@@ -126,7 +152,7 @@ def partial_trace_numeric(state: TwoModeVector) -> Union[DensityMatrix, np.ndarr
     if not isinstance(state, TwoModeVector):
         raise ValidationError("state must be a TwoModeVector")
     grid = state.coeffs
-    rho = np.einsum("...ik,...jk->...ij", grid, grid.conj())
+    rho = grid @ grid.conj().swapaxes(-2, -1)
     return rho if rho.ndim == 3 else DensityMatrix(rho)
 
 
@@ -179,9 +205,7 @@ def random_fock_vectors(count: int, max_support: int, seed: int) -> list[FockVec
     """
     if count < 1 or max_support < 0:
         raise ValidationError("need count >= 1 and max_support >= 0")
-    rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(count):
-        raw = rng.standard_normal(max_support + 1) + 1j * rng.standard_normal(max_support + 1)
-        states.append(FockVector(raw / np.linalg.norm(raw)))
-    return states
+    # one draw in the order of a real and an imaginary draw per state
+    draws = np.random.default_rng(seed).standard_normal((count, 2, max_support + 1))
+    raw = draws[:, 0] + 1j * draws[:, 1]
+    return [FockVector(row / np.linalg.norm(row)) for row in raw]

@@ -94,11 +94,23 @@ def binomial_pmf(n: int, p: float, i: int) -> float:
     return math.exp(log_pmf)
 
 
+def _binomial_diagonals(occupations: Sequence[int], split: ModeSplit) -> np.ndarray:
+    """Row k is the diagonal of the reduced |n><n|, n = occupations[k], zero-padded.
+
+    Entry [k, i] is binomial_pmf(n, q0**2, i) for i <= n and 0 beyond, over
+    max(occupations) + 1 columns; unvalidated.
+    """
+    diags = np.zeros((len(occupations), max(occupations) + 1))
+    for row, n in zip(diags, occupations):
+        row[: n + 1] = [binomial_pmf(n, split.q0sq, i) for i in range(n + 1)]
+    return diags
+
+
 def reduce_number_state(n: int, split: ModeSplit) -> DensityMatrix:
     """Reduced state of |n>: diagonal binomial distribution B(n, q0**2)."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValidationError(f"occupation must be a nonnegative integer, got {n!r}")
-    diag = np.array([binomial_pmf(int(n), split.q0sq, i) for i in range(int(n) + 1)])
+    diag = _binomial_diagonals((int(n),), split)[0]
     return DensityMatrix(np.diag(diag.astype(complex)))
 
 

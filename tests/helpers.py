@@ -87,3 +87,34 @@ def per_element_fmt(values) -> list[str]:
     distinct magnitude once, is checked against.
     """
     return ["%.17g" % v for v in (np.ravel(values) + 0.0).tolist()]
+
+
+def per_state_random_vectors(count: int, max_support: int, seed: int) -> list[FockVector]:
+    """random_fock_vectors drawn one state at a time: a real, then an imaginary draw each.
+
+    The reference that the library's single draw of every normal is checked
+    against, bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(count):
+        raw = rng.standard_normal(max_support + 1) + 1j * rng.standard_normal(max_support + 1)
+        states.append(FockVector(raw / np.linalg.norm(raw)))
+    return states
+
+
+def dense_ladder_expansion(psi: FockVector, split: ModeSplit, cutoff: int) -> np.ndarray:
+    """sum_n psi_n (a_q^dag)^n / sqrt(n!) |0,0> with the dense split ladder, as a grid."""
+    adag = build_split_creation(split, cutoff)
+    rung = np.zeros((cutoff + 1) ** 2, dtype=complex)
+    rung[0] = 1.0
+    acc = psi.coeffs[0] * rung
+    for n in range(1, psi.dim):
+        rung = adag @ rung / math.sqrt(n)
+        acc = acc + psi.coeffs[n] * rung
+    return acc.reshape(cutoff + 1, cutoff + 1)
+
+
+def literal_marginal(grid: np.ndarray) -> np.ndarray:
+    """(rho_0)_{ij} = sum_k grid[i, k] conj(grid[j, k]) by an explicit index contraction."""
+    return np.einsum("ik,jk->ij", grid, grid.conj())

@@ -10,9 +10,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import probeview.cli
 from helpers import per_element_fmt
-from probeview import Coherent, TruncationPolicy
-from probeview.cli import _fmt_float, _fmt_floats, _reduce_one, main
+from probeview import Coherent, TruncationPolicy, ValidationError
+from probeview.cli import (
+    _MAX_GRID_POINTS,
+    _MAX_ORACLE_BYTES,
+    _fmt_float,
+    _fmt_floats,
+    _parse_grid,
+    _reduce_one,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -411,6 +420,84 @@ class TestOracleCheckCommand:
         )
         assert code == 3
         assert json.loads(out)["status"] == "disagreement"
+
+
+# runs main(argv) with the address space capped at 512 MiB above what the
+# imports use, so a limit that stopped working fails the test instead of
+# exhausting the machine's memory; prints the exit code and the traced peak
+_CAPPED_RUN = """
+import json, resource, sys, tracemalloc
+from probeview.cli import main
+with open("/proc/self/status") as status:
+    vm_kib = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+cap = vm_kib * 1024 + (512 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+tracemalloc.start()
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "peak": tracemalloc.get_traced_memory()[1]}))
+"""
+
+
+class TestSizeLimits:
+    """Oversized inputs exit 2 with one error line, before the work is allocated."""
+
+    @staticmethod
+    def _capped(*argv):
+        run = subprocess.run(
+            [sys.executable, "-c", _CAPPED_RUN, *argv], capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        result = json.loads(run.stdout)
+        assert result["code"] == 2
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+        # nothing of the size the input asks for was allocated
+        assert result["peak"] < 1_000_000
+        return run.stderr
+
+    def test_oracle_max_n_past_the_byte_limit(self):
+        # the two-mode stack alone would need about 16 PB
+        err = self._capped("oracle-check", "--max-n", "100000")
+        implied = 16 * (100000 + 1 + 100) * (100000 + 1) ** 2
+        assert f"--max-n 100000 implies {implied} bytes" in err
+        assert f"the limit is {_MAX_ORACLE_BYTES} bytes" in err
+
+    def test_grid_of_1e300_points(self):
+        err = self._capped("reduce", "--alpha", "1", "--q0sq", "0:1:1e-300")
+        assert f"--q0sq 0:1:1e-300 gives 1e+300 points; the limit is {_MAX_GRID_POINTS}" in err
+
+    def test_oracle_max_n_limit_is_far_above_ci(self, capsys):
+        # CI runs --max-n 24; the largest accepted --max-n is 132
+        assert 16 * (132 + 1 + 100) * (132 + 1) ** 2 <= _MAX_ORACLE_BYTES
+        assert 16 * (133 + 1 + 100) * (133 + 1) ** 2 > _MAX_ORACLE_BYTES
+        code = main(["oracle-check", "--max-n", "133", "--q0sq", "0.5"])
+        assert code == 2
+        assert "--max-n 133" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag, count",
+        [
+            # with the limit lowered to 10, one point past it for every grid flag
+            (("reduce", "--alpha", "1", "--q0sq", "0:1:0.1"), "--q0sq", "11"),
+            (("sweep-purity", "--q0sq", "0:1:0.1"), "--q0sq", "11"),
+            (("sweep-thermal", "--inv-betae", "0.1:1.1:0.1"), "--inv-betae", "11"),
+            (("oracle-check", "--q0sq", "0:1:0.1"), "--q0sq", "11"),
+            # stop - start overflows to inf
+            (("reduce", "--alpha", "1", "--q0sq=-1e308:1e308:1"), "--q0sq", "inf"),
+        ],
+    )
+    def test_grid_past_the_point_limit(self, capsys, monkeypatch, argv, flag, count):
+        monkeypatch.setattr(probeview.cli, "_MAX_GRID_POINTS", 10)
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{flag} " in err
+        assert f"gives {count} points; the limit is 10" in err
+
+    def test_grid_limit_boundary(self):
+        assert len(_parse_grid(f"1:{_MAX_GRID_POINTS}:1", "--q0sq")) == _MAX_GRID_POINTS
+        with pytest.raises(ValidationError, match=f"gives {_MAX_GRID_POINTS + 1} points"):
+            _parse_grid(f"0:{_MAX_GRID_POINTS}:1", "--q0sq")
 
 
 class TestProfileOverlapCommand:

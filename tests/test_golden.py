@@ -65,6 +65,8 @@ CASES = {
     "sweep-purity": ("sweep-purity", "--max-n", "3", "--q0sq", "0:1:0.25"),
     "sweep-thermal": ("sweep-thermal", "--q0sq", "0.25:1:0.25", "--inv-betae", "0.5:2:0.5"),
     "oracle-check": ("oracle-check", "--max-n", "2", "--q0sq", "0:1:0.5"),
+    # the size of the benchmark's oracle-check workload
+    "oracle-check-max-n-12": ("oracle-check", "--max-n", "12", "--seed", "5"),
     "profile-overlap": ("profile-overlap", "--profile", PROFILE_NAME, "--region=-1:2"),
 }
 FORMATS = ("json", "csv")

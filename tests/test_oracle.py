@@ -1,6 +1,7 @@
 """Brute-force two-mode cross-checks for the single-mode reduction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from helpers import (
     build_split_creation,
     cat_vector,
     creation_matrix,
+    dense_ladder_expansion,
+    literal_marginal,
     number_vector,
+    per_state_random_vectors,
     split_from_amplitude,
     total_number_marginal,
 )
@@ -218,6 +222,39 @@ class TestExpandTwoMode:
         fast = expand_two_mode(psi, split, cutoff)
         assert np.max(np.abs(fast.coeffs.ravel() - acc)) <= 1e-12
 
+    @pytest.mark.parametrize("q0sq", [0.0, 1e-6, 0.3, 0.5, 1.0 - 1e-6, 1.0])
+    def test_stack_and_single_match_dense_ladder(self, q0sq):
+        # supports 1..9 on one basis: nine states fold their rungs in one block,
+        # the last three in blocks of three, and a single state one rung at a time
+        split = ModeSplit.from_q0sq(q0sq)
+        cutoff = 8
+        states = [random_fock_vectors(1, support, seed=support)[0] for support in range(9)]
+        expected = [dense_ladder_expansion(psi, split, cutoff) for psi in states]
+        for first in (0, 6):
+            stacked = expand_two_mode(states[first:], split, cutoff)
+            marginals = partial_trace_numeric(stacked)
+            for k, grid in enumerate(expected[first:]):
+                assert np.max(np.abs(stacked.coeffs[k] - grid)) <= 1e-13
+                assert np.max(np.abs(marginals[k] - literal_marginal(grid))) <= 1e-13
+        for psi, grid in zip(states, expected):
+            alone = expand_two_mode(psi, split, cutoff)
+            assert np.max(np.abs(alone.coeffs - grid)) <= 1e-13
+            rho = partial_trace_numeric(alone).elems
+            assert np.max(np.abs(rho - literal_marginal(grid))) <= 1e-13
+
+    def test_single_state_holds_one_rung_at_a_time(self):
+        # a buffer of every rung would be 257 times the output at this support
+        psi = random_fock_vectors(1, 256, seed=3)[0]
+        split = ModeSplit.from_q0sq(0.4)
+        tracemalloc.start()
+        try:
+            two = expand_two_mode(psi, split, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # about 3.4x: the output, one rung, the next rung and numpy's iteration buffers
+        assert peak <= 3.5 * two.coeffs.nbytes
+
 
 class TestPartialTraceNumeric:
     def test_product_state_is_pure(self):
@@ -336,6 +373,16 @@ class TestRandomFockVectors:
         b = random_fock_vectors(3, 5, seed=0)
         for x, y in zip(a, b):
             assert np.array_equal(x.coeffs, y.coeffs)
+
+    @pytest.mark.parametrize(
+        "count, max_support, seed", [(1, 0, 0), (3, 5, 1), (100, 12, 5), (7, 40, 123)]
+    )
+    def test_one_draw_matches_per_state_draws(self, count, max_support, seed):
+        drawn = random_fock_vectors(count, max_support, seed)
+        reference = per_state_random_vectors(count, max_support, seed)
+        assert len(drawn) == count
+        for a, b in zip(drawn, reference):
+            assert np.array_equal(a.coeffs.view(np.uint64), b.coeffs.view(np.uint64))
 
     def test_each_is_normalized(self):
         for psi in random_fock_vectors(10, 8, seed=1):

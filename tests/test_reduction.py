@@ -33,6 +33,7 @@ from probeview import (
     reduce_thermal,
     validate_density_matrix,
 )
+from probeview.reduction import _binomial_diagonals
 
 # fixed-seed random amplitudes for property checks
 _RNG = np.random.default_rng(20240816)
@@ -117,6 +118,17 @@ class TestReduceNumberState:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             reduce_number_state(-1, ModeSplit.from_q0sq(0.5))
+
+    @pytest.mark.parametrize("q0sq", [0.0, 1e-300, 1e-6, 0.3, 0.5, 1.0 - 1e-6, 1.0])
+    def test_stacked_diagonals_match_each_state(self, q0sq):
+        # oracle-check builds its closed forms for |0>..|max_n> as this one stack
+        split = ModeSplit.from_q0sq(q0sq)
+        diagonal = np.arange(41)
+        stack = np.zeros((41, 41, 41), dtype=complex)
+        stack[:, diagonal, diagonal] = _binomial_diagonals(range(41), split)
+        for n in range(41):
+            padded = pad_matrix(reduce_number_state(n, split).elems, 41)
+            assert np.array_equal(stack[n].view(np.uint64), padded.view(np.uint64))
 
 
 class TestReducePureGeneral:
