@@ -24,6 +24,7 @@ import numpy as np
 
 from .analysis import purity, purity_sweep, thermal_sweep
 from .fock import (
+    _violations,
     Coherent,
     DensityMatrix,
     FockVector,
@@ -59,6 +60,12 @@ _MAX_GRID_POINTS = 100_000
 # bytes of oracle-check's two-mode stack: --max-n 24 needs 1.25 MB, and 132 is the largest
 # --max-n accepted (66 MB; a whole run at 132 peaks near 470 MB)
 _MAX_ORACLE_BYTES = 2**26
+# bytes of one reduced matrix of reduce, 16*(cutoff+1)**2: the benchmark's --cutoff 128 needs
+# 266 KB, and 2047 is the largest --cutoff accepted
+_MAX_MATRIX_BYTES = 2**26
+# sweep-purity reduces and checks one matrix per (n, q0sq) point, so its largest matrix,
+# 16*(max_n+1)**2 bytes, has a tighter limit: --max-n 255 at most
+_MAX_SWEEP_MATRIX_BYTES = 2**20
 
 
 def _fmt_float(value: float) -> str:
@@ -179,6 +186,16 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
     if abs(values[-1] - stop) <= 1e-9 * max(1.0, abs(stop)):
         values[-1] = stop
     return tuple(values)
+
+
+def _check_matrix_bytes(flag: str, value: int, limit: int) -> None:
+    """Reject a size flag whose (value+1) x (value+1) complex matrix would exceed limit bytes."""
+    implied = 16 * (value + 1) ** 2
+    if implied > limit:
+        raise ValidationError(
+            f"{flag} {value} implies {implied} bytes for one reduced matrix; "
+            f"the limit is {limit} bytes"
+        )
 
 
 def _parse_q0sq(text: str) -> tuple[float, ...]:
@@ -323,6 +340,7 @@ def _cmd_reduce(args: argparse.Namespace):
     grid = _parse_q0sq(args.q0sq)
     # one policy for every materialization of the run, mixture components included
     policy = TruncationPolicy(args.cutoff, tail_tol=_check_tol(args.tol))
+    _check_matrix_bytes("--cutoff", args.cutoff, _MAX_MATRIX_BYTES)
     if args.alpha is not None:
         family = Coherent(_parse_alpha(args.alpha))
     else:
@@ -375,6 +393,7 @@ def _cmd_sweep_purity(args: argparse.Namespace):
     grid = _parse_q0sq(args.q0sq)
     if args.max_n < 1:
         raise ValidationError(f"--max-n must be >= 1, got {args.max_n}")
+    _check_matrix_bytes("--max-n", args.max_n, _MAX_SWEEP_MATRIX_BYTES)
     sweep = purity_sweep(range(1, args.max_n + 1), grid)
     payload, lines = _sweep_payload("sweep-purity", sweep)
     return payload, lines, 0
@@ -399,8 +418,11 @@ def _cmd_oracle_check(args: argparse.Namespace):
     Each grid point expands the number basis |0>..|max_n> and the random
     states in one call, builds the closed forms as one stack zero-padded to
     max_n+1, runs the gates once on each of the three stacks, and compares
-    whole stacks.  A --max-n whose two-mode stack would exceed
-    _MAX_ORACLE_BYTES is rejected before anything is allocated.
+    whole stacks.  The oracle and kernel stacks are Gram products with
+    max_n+1 inner terms, so their PSD gate is decided by the rounding bound
+    of fock._violations; the closed forms get the full gate.  A --max-n
+    whose two-mode stack would exceed _MAX_ORACLE_BYTES is rejected before
+    anything is allocated.
     """
     grid = _parse_q0sq(args.q0sq)
     tol = _check_tol(args.tol)
@@ -426,8 +448,11 @@ def _cmd_oracle_check(args: argparse.Namespace):
         numeric = partial_trace_numeric(expand_two_mode(basis + randoms, split, max_n))
         series = reduce_pure_states(randoms, split)
         closed[:, diagonal, diagonal] = _binomial_diagonals(range(max_n + 1), split)
-        for stack in (numeric, series, closed):
-            violations = validate_density_matrix(stack)
+        for violations in (
+            _violations(numeric, gram_inner=max_n + 1),
+            _violations(series, gram_inner=max_n + 1),
+            validate_density_matrix(closed),
+        ):
             if violations:
                 raise ValidationError(f"invalid density matrix: {violations}")
         worst_number = max(worst_number, float(np.max(np.abs(closed - numeric[: max_n + 1]))))

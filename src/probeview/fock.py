@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -111,10 +111,10 @@ class FockVector:
         coeffs = np.array(self.coeffs, dtype=complex)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValidationError("coefficients must form a nonempty 1-D sequence")
-        if not (np.all(np.isfinite(coeffs.real)) and np.all(np.isfinite(coeffs.imag))):
+        if not np.isfinite(coeffs).all():  # a complex element is finite iff both parts are
             raise ValidationError("coefficients must be finite")
         with np.errstate(over="ignore"):  # an overflowing norm is inf, which the check rejects
-            norm_sq = float(np.sum(np.abs(coeffs) ** 2))
+            norm_sq = float((np.abs(coeffs) ** 2).sum())
         if abs(norm_sq - 1.0) > STATE_NORM_TOL:
             raise ValidationError(f"state not normalized: sum |psi_n|^2 = {norm_sq!r}")
         coeffs.setflags(write=False)
@@ -164,6 +164,43 @@ def validate_density_matrix(
     comparison only within rounding of the boundary -PSD_TOL.
     """
     elems = rho.elems if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    return _violations(elems)
+
+
+def _gamma(terms: int) -> float:
+    """Higham's gamma_n = n*u / (1 - n*u) in double precision; inf once n*u reaches 1/2."""
+    nu = terms * 2.0**-53
+    return nu / (1.0 - nu) if nu < 0.5 else math.inf
+
+
+def _gram_psd_bound(inner: int, dim: int, trace: float) -> float:
+    """How far rounding can push lambda_min of a computed Gram product's Hermitian part below 0.
+
+    A = fl(G G^dagger) of a dim x inner complex G satisfies
+    |A - G G^dagger| <= sqrt(2)*gamma_{inner+2} |G| |G|^T (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.5, with the complex
+    constant of section 3.6), whose 2-norm is at most that constant times
+    ||G||_F^2, and G G^dagger itself is PSD whatever G is.  Forming the
+    Hermitian part rounds each element once: at most 2u*||G||_F^2 more.
+    ``trace`` is |tr A|: each diagonal element sums 2*inner nonnegative
+    products and the trace sums dim of them, so ||G||_F^2 is at most
+    trace / (1 - gamma_{2*inner+dim}).
+    """
+    shrink = 1.0 - _gamma(2 * inner + dim)
+    if not shrink > 0.0:
+        return math.inf
+    return (math.sqrt(2.0) * _gamma(inner + 2) + 2.0 * 2.0**-53) * (trace / shrink)
+
+
+def _violations(elems: np.ndarray, gram_inner: Optional[int] = None) -> list[Violation]:
+    """validate_density_matrix on an array; ``gram_inner`` marks computed Gram products.
+
+    With ``gram_inner`` = K every matrix must be a computed product G G^dagger,
+    G with K columns (a reduce_pure_states or partial_trace_numeric stack).
+    Its PSD gate is then decided by _gram_psd_bound, with ||G||_F^2 bounded
+    from the computed trace, and Cholesky runs only when the bound does not
+    clear PSD_TOL.  The finite, Hermitian and trace gates run either way.
+    """
     out: list[Violation] = []
     if elems.ndim not in (2, 3) or elems.shape[-2] != elems.shape[-1] or elems.size == 0:
         out.append(Violation("shape", float("nan")))
@@ -175,9 +212,14 @@ def validate_density_matrix(
     herm_defect = float(np.max(np.abs(elems - adjoint)))
     if herm_defect > HERMITIAN_TOL:
         out.append(Violation("hermitian", herm_defect))
-    trace_defect = float(np.max(np.abs(np.trace(elems, axis1=-2, axis2=-1) - 1.0)))
+    traces = np.trace(elems, axis1=-2, axis2=-1)
+    trace_defect = float(np.max(np.abs(traces - 1.0)))
     if trace_defect > TRACE_TOL:
         out.append(Violation("trace", trace_defect))
+    if gram_inner is not None:
+        trace = float(np.max(np.abs(traces)))
+        if _gram_psd_bound(gram_inner, elems.shape[-1], trace) <= PSD_TOL:
+            return out
     # the PSD gate reads the Hermitian part, so it still reports something
     # sensible when hermiticity itself is broken
     hermitian_part = (elems + adjoint) / 2.0

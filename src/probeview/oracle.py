@@ -36,23 +36,47 @@ class TwoModeVector:
     """Amplitudes on the product basis, coeffs[n0, n1] multiplying |n0, n1>.
 
     A leading state axis, coeffs[s, n0, n1], holds a stack of states on
-    one basis; each state must be finite and normalized on its own.
+    one basis; each state must be finite and normalized on its own.  The
+    constructor copies the array it is given, so the caller's array stays
+    writable; ``expand_two_mode`` hands over the array it has just built
+    without a copy.
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = np.array(self.coeffs, dtype=complex)
-        if coeffs.ndim not in (2, 3) or coeffs.size == 0:
-            raise ValidationError("two-mode coefficients must form a nonempty 2-D or 3-D array")
-        if not (np.all(np.isfinite(coeffs.real)) and np.all(np.isfinite(coeffs.imag))):
+        object.__setattr__(self, "coeffs", _checked_two_mode(np.array(self.coeffs, dtype=complex)))
+
+    @classmethod
+    def _adopt(cls, coeffs: np.ndarray) -> "TwoModeVector":
+        """Wrap a complex array no one else holds, checked and frozen in place."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "coeffs", _checked_two_mode(coeffs))
+        return state
+
+
+def _checked_two_mode(coeffs: np.ndarray) -> np.ndarray:
+    """Check a complex coefficient array (or stack) and make it read-only.
+
+    The squared norms are one reduction over the interleaved real view of
+    each state, with no temporary of the array's size (a non-contiguous
+    array is viewed through a contiguous copy); the elementwise finite check
+    runs only when a norm is not finite, to name the cause.
+    """
+    if coeffs.ndim not in (2, 3) or coeffs.size == 0:
+        raise ValidationError("two-mode coefficients must form a nonempty 2-D or 3-D array")
+    per_state = coeffs.shape[-2] * coeffs.shape[-1]
+    real = np.ascontiguousarray(coeffs).reshape(-1, per_state).view(float)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf
+        norms_sq = np.einsum("si,si->s", real, real)
+    if not np.isfinite(norms_sq).all():
+        if not np.isfinite(coeffs).all():
             raise ValidationError("two-mode coefficients must be finite")
-        norms_sq = np.atleast_1d(np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)))
-        worst = float(norms_sq[np.argmax(np.abs(norms_sq - 1.0))])
-        if abs(worst - 1.0) > 1e-10:
-            raise ValidationError(f"two-mode state not normalized: norm^2 = {worst!r}")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+    worst = float(norms_sq[np.argmax(np.abs(norms_sq - 1.0))])
+    if abs(worst - 1.0) > 1e-10:
+        raise ValidationError(f"two-mode state not normalized: norm^2 = {worst!r}")
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def _apply_split_creation(
@@ -113,12 +137,14 @@ def expand_two_mode(
     states = (psi,) if single else tuple(psi)
     if not states or any(not isinstance(state, FockVector) for state in states):
         raise ValidationError("states must be a FockVector or a nonempty sequence of them")
-    support = max(state.dim for state in states)
+    coeffs = [state.coeffs for state in states]
+    sizes = np.array([c.size for c in coeffs])
+    support = int(sizes.max())
     if support - 1 > cutoff:
         raise ValidationError(f"state support {support - 1} exceeds cutoff {cutoff}")
+    # row s holds state s, zero-padded; a boolean mask fills in row-major order
     amplitudes = np.zeros((len(states), support), dtype=complex)
-    for row, state in zip(amplitudes, states):
-        row[: state.dim] = state.coeffs
+    amplitudes[np.arange(support) < sizes[:, None]] = np.concatenate(coeffs)
     dim = int(cutoff) + 1
     block = min(len(states), support)
     rungs = np.zeros((block, dim, dim), dtype=complex)  # rungs[k] holds rung first + k
@@ -138,9 +164,9 @@ def expand_two_mode(
         rungs[n - first] /= math.sqrt(n)
     filled = support - first
     out += amplitudes[:, first:] @ rungs[:filled].reshape(filled, -1)
-    del rungs  # freed before the output is copied and checked
+    del rungs  # freed before the output is checked
     out = out.reshape(len(states), dim, dim)
-    return TwoModeVector(out[0] if single else out)
+    return TwoModeVector._adopt(out[0] if single else out)
 
 
 def partial_trace_numeric(state: TwoModeVector) -> Union[DensityMatrix, np.ndarray]:

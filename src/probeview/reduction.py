@@ -97,12 +97,29 @@ def binomial_pmf(n: int, p: float, i: int) -> float:
 def _binomial_diagonals(occupations: Sequence[int], split: ModeSplit) -> np.ndarray:
     """Row k is the diagonal of the reduced |n><n|, n = occupations[k], zero-padded.
 
-    Entry [k, i] is binomial_pmf(n, q0**2, i) for i <= n and 0 beyond, over
-    max(occupations) + 1 columns; unvalidated.
+    Entry [k, i] is binomial_pmf(n, q0**2, i), bit for bit, for i <= n and 0
+    beyond, over max(occupations) + 1 columns; unvalidated.  The rows with
+    n <= _EXACT_COMB_LIMIT are float(C(n, i)) * p**i * (1-p)**(n-i) as one
+    array product, in binomial_pmf's order, with the powers taken from one
+    list of p**i and one of (1-p)**j built by Python's ** per call, as
+    binomial_pmf takes them.  A longer row calls binomial_pmf per entry.
     """
-    diags = np.zeros((len(occupations), max(occupations) + 1))
+    p = split.q0sq
+    counts = np.array(occupations)
+    width = int(counts.max()) + 1
+    exact = min(width, _EXACT_COMB_LIMIT + 1)
+    ups = np.array([p**i for i in range(exact)])
+    downs = np.array([(1.0 - p) ** j for j in range(exact)])
+    short = counts <= _EXACT_COMB_LIMIT
+    lags = counts[short, None] - np.arange(exact)  # n - i
+    combs = np.zeros(lags.shape)
+    combs[lags >= 0] = [float(math.comb(n, i)) for n in counts[short].tolist() for i in range(n + 1)]
+    diags = np.zeros((len(occupations), width))
+    # C(n, i) = 0 zeroes the entries with i > n, whatever down-power they pick up
+    diags[short, :exact] = combs * ups * downs[np.maximum(lags, 0)]
     for row, n in zip(diags, occupations):
-        row[: n + 1] = [binomial_pmf(n, split.q0sq, i) for i in range(n + 1)]
+        if n > _EXACT_COMB_LIMIT:
+            row[: n + 1] = [binomial_pmf(n, p, i) for i in range(n + 1)]
     return diags
 
 
@@ -208,7 +225,8 @@ def reduce_pure_states(states: Sequence[FockVector], split: ModeSplit) -> np.nda
     if split.q0 == 0.0:
         return _vacuum_stack(len(states), dim)
     amps = _loss_amplitudes(dim, split)
-    return _gram(_kraus_factors(np.stack([state.coeffs for state in states]), amps), 1.0)
+    stacked = np.concatenate([state.coeffs for state in states]).reshape(len(states), dim)
+    return _gram(_kraus_factors(stacked, amps), 1.0)
 
 
 def reduce_pure_general(psi: FockVector, split: ModeSplit) -> ReductionReport:

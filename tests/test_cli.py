@@ -15,7 +15,9 @@ from helpers import per_element_fmt
 from probeview import Coherent, TruncationPolicy, ValidationError
 from probeview.cli import (
     _MAX_GRID_POINTS,
+    _MAX_MATRIX_BYTES,
     _MAX_ORACLE_BYTES,
+    _MAX_SWEEP_MATRIX_BYTES,
     _fmt_float,
     _fmt_floats,
     _parse_grid,
@@ -464,6 +466,27 @@ class TestSizeLimits:
     def test_grid_of_1e300_points(self):
         err = self._capped("reduce", "--alpha", "1", "--q0sq", "0:1:1e-300")
         assert f"--q0sq 0:1:1e-300 gives 1e+300 points; the limit is {_MAX_GRID_POINTS}" in err
+
+    def test_reduce_cutoff_past_the_byte_limit(self):
+        # the projector alone would need about 149 GiB
+        err = self._capped("reduce", "--alpha", "1", "--q0sq", "0.5", "--cutoff", "100000")
+        assert f"--cutoff 100000 implies {16 * 100001**2} bytes" in err
+        assert f"the limit is {_MAX_MATRIX_BYTES} bytes" in err
+
+    def test_sweep_purity_max_n_past_the_byte_limit(self):
+        err = self._capped("sweep-purity", "--max-n", "100000")
+        assert f"--max-n 100000 implies {16 * 100001**2} bytes" in err
+        assert f"the limit is {_MAX_SWEEP_MATRIX_BYTES} bytes" in err
+
+    def test_matrix_limits_are_far_above_use(self, capsys):
+        # the benchmark and CI reduce at --cutoff 128; the largest accepted is 2047
+        assert 16 * 2048**2 <= _MAX_MATRIX_BYTES < 16 * 2049**2
+        assert main(["reduce", "--alpha", "1", "--q0sq", "0.5", "--cutoff", "2048"]) == 2
+        assert "--cutoff 2048" in capsys.readouterr().err
+        # sweep-purity runs at --max-n 5 at most; the largest accepted is 255
+        assert 16 * 256**2 <= _MAX_SWEEP_MATRIX_BYTES < 16 * 257**2
+        assert main(["sweep-purity", "--max-n", "256"]) == 2
+        assert "--max-n 256" in capsys.readouterr().err
 
     def test_oracle_max_n_limit_is_far_above_ci(self, capsys):
         # CI runs --max-n 24; the largest accepted --max-n is 132

@@ -22,14 +22,18 @@ from probeview import (
     ValidationError,
     Violation,
     materialize,
+    expand_two_mode,
     number_expectation,
     overlap_from_profile,
+    partial_trace_numeric,
+    random_fock_vectors,
     reduce_number_state,
     reduce_pure_general,
+    reduce_pure_states,
     validate_density_matrix,
 )
-from probeview.cli import _family_from_descriptor, _reduce_one
-from probeview.fock import PSD_TOL
+from probeview.cli import _family_from_descriptor, _reduce_one, main
+from probeview.fock import PSD_TOL, _gram_psd_bound, _violations
 
 
 class TestModeSplit:
@@ -316,6 +320,87 @@ class TestPsdGate:
         stack[1] = _with_defect(stack[1], "psd", 0.1)
         assert [v.kind for v in validate_density_matrix(stack)] == ["positive_semidefinite"]
         assert calls == ["cholesky"] * 3 + ["eigvalsh"]
+
+
+_CERTIFICATE_Q0SQ = [0.0, 1e-300, 1e-6, 0.5, 1.0 - 1e-6, 1.0]
+
+
+def _gram_stacks(support: int, q0sq: float):
+    """The kernel and oracle stacks of three random states of the given support."""
+    states = random_fock_vectors(3, support - 1, seed=support)
+    split = ModeSplit.from_q0sq(q0sq)
+    numeric = partial_trace_numeric(expand_two_mode(states, split, max(support - 1, 1)))
+    return reduce_pure_states(states, split), numeric
+
+
+def _recording(monkeypatch, name: str) -> list:
+    """Replace np.linalg.<name> by a wrapper that records the shape of each argument."""
+    shapes = []
+    real = getattr(np.linalg, name)
+
+    def wrapper(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, name, wrapper)
+    return shapes
+
+
+class TestGramCertificate:
+    """A Gram product's PSD gate is decided by its rounding bound, with Cholesky as fallback."""
+
+    @pytest.mark.parametrize("q0sq", _CERTIFICATE_Q0SQ)
+    @pytest.mark.parametrize("support", [1, 2, 13, 64, 133])
+    def test_full_gate_passes_both_stacks(self, q0sq, support):
+        for stack in _gram_stacks(support, q0sq):
+            assert validate_density_matrix(stack) == []
+            assert _violations(stack, gram_inner=support) == []
+            # the bound holds for every matrix, whatever its spectrum
+            assert _lowest_eigenvalue(stack) >= -_gram_psd_bound(support, support, 1.0 + 1e-10)
+
+    @pytest.mark.parametrize("q0sq", _CERTIFICATE_Q0SQ)
+    def test_full_gate_passes_the_kernel_at_1024(self, q0sq):
+        states = random_fock_vectors(1, 1024, seed=17)
+        stack = reduce_pure_states(states, ModeSplit.from_q0sq(q0sq))
+        assert validate_density_matrix(stack) == []
+        assert _violations(stack, gram_inner=1025) == []
+
+    def test_bound_sizes(self):
+        # about gamma_{K+2} per unit of ||G||_F^2, far inside PSD_TOL at every accepted size
+        assert 2e-15 < _gram_psd_bound(13, 13, 1.0) < 3e-15
+        assert _gram_psd_bound(1025, 1025, 1.0) < 2e-13
+        assert _gram_psd_bound(2**52, 13, 1.0) == math.inf
+        assert _gram_psd_bound(13, 2**54, 1.0) == math.inf
+
+    def test_oracle_check_runs_no_cholesky_on_gram_stacks(self, monkeypatch, capsys):
+        cholesky = _recording(monkeypatch, "cholesky")
+        eigvalsh = _recording(monkeypatch, "eigvalsh")
+        assert main(["oracle-check", "--max-n", "12"]) == 0
+        capsys.readouterr()
+        # one full gate per grid point, on the closed-form stack alone
+        assert cholesky == [(13, 13, 13)] * 11
+        assert eigvalsh == []
+
+    def test_uncleared_bound_falls_back_to_the_full_gate(self, monkeypatch):
+        cholesky = _recording(monkeypatch, "cholesky")
+        kernel, numeric = _gram_stacks(13, 0.5)
+        # still Gram products, but ||G||_F^2 = 1e6 makes the bound about 2.6e-9
+        for stack in (kernel * 1e6, numeric * 1e6):
+            assert _gram_psd_bound(13, 13, 1e6) > PSD_TOL
+            before = len(cholesky)
+            violations = _violations(stack, gram_inner=13)
+            assert len(cholesky) == before + 1
+            assert violations == validate_density_matrix(stack)
+            assert [v.kind for v in violations] == ["trace"]
+        # a non-PSD stack behind a bound that cannot clear gets the public verdict,
+        # magnitude included
+        broken = kernel.copy()
+        broken[1] = np.diag([0.7, 0.45, -0.15] + [0.0] * 10)
+        expected = validate_density_matrix(broken)
+        assert [v.kind for v in expected] == ["positive_semidefinite"]
+        before = len(cholesky)
+        assert _violations(broken, gram_inner=2**52) == expected
+        assert len(cholesky) == before + 1
 
 
 class TestDensityMatrix:

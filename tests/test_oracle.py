@@ -80,6 +80,33 @@ class TestTwoModeVector:
             TwoModeVector(np.stack([good, np.full((2, 2), np.nan)]))
 
 
+    def test_copies_a_callers_array(self):
+        coeffs = np.zeros((2, 3, 3), dtype=complex)
+        coeffs[:, 0, 0] = 1.0
+        state = TwoModeVector(coeffs)
+        assert coeffs.flags.writeable and not state.coeffs.flags.writeable
+        assert not np.shares_memory(coeffs, state.coeffs)
+        coeffs[0, 0, 0] = 2.0
+        assert state.coeffs[0, 0, 0] == 1.0
+        # a non-contiguous array is checked through a contiguous copy
+        swapped = TwoModeVector(np.ones((3, 3), dtype=complex).T / 3.0)
+        assert swapped.coeffs.shape == (3, 3)
+
+    def test_expansion_is_checked_without_a_copy(self):
+        states = random_fock_vectors(8, 100, seed=2)
+        two = expand_two_mode(states, ModeSplit.from_q0sq(0.4), 100)
+        assert not two.coeffs.flags.writeable
+        fresh = np.array(two.coeffs)
+        tracemalloc.start()
+        try:
+            adopted = TwoModeVector._adopt(fresh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert adopted.coeffs is fresh and not fresh.flags.writeable
+        # the norms and the finite check allocate nothing of the stack's size
+        assert peak <= 0.01 * fresh.nbytes
+
 def _random_vectors(dims, seed):
     rng = np.random.default_rng(seed)
     states = []

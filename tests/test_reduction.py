@@ -131,6 +131,18 @@ class TestReduceNumberState:
             assert np.array_equal(stack[n].view(np.uint64), padded.view(np.uint64))
 
 
+    @pytest.mark.parametrize("q0sq", [0.0, 5e-324, 1e-300, 1e-6, 0.3, 0.5, 1.0 - 1e-6, 1.0])
+    def test_diagonals_equal_binomial_pmf_bitwise(self, q0sq):
+        # exact-comb rows up to _EXACT_COMB_LIMIT = 1000, then the per-entry log-gamma path
+        split = ModeSplit.from_q0sq(q0sq)
+        occupations = [*range(70), 200, 999, 1000, 1001, 1200]
+        diags = _binomial_diagonals(occupations, split)
+        assert diags.shape == (len(occupations), 1201)
+        for row, n in zip(diags, occupations):
+            expected = np.array([binomial_pmf(n, q0sq, i) for i in range(n + 1)])
+            assert row[: n + 1].tobytes() == expected.tobytes()
+            assert not row[n + 1 :].any()
+
 class TestReducePureGeneral:
     def test_identity_split_keeps_state(self):
         report = reduce_pure_general(number_vector(1), ModeSplit(1.0, 0.0))
