@@ -9,7 +9,7 @@ verifier, and sweep helpers plus a CLI that emit the derived curves as
 CSV/JSON.
 """
 
-from .analysis import ConsistencyError, SweepResult, cat_purity, purity, purity_sweep, thermal_sweep
+from .analysis import SweepResult, cat_purity, purity, purity_sweep, thermal_sweep
 from .fock import (
     Coherent,
     DensityMatrix,
@@ -66,7 +66,6 @@ __all__ = [
     "Violation",
     "ValidationError",
     "TruncationError",
-    "ConsistencyError",
     "materialize",
     "validate_density_matrix",
     "number_expectation",

@@ -63,8 +63,9 @@ _MAX_ORACLE_BYTES = 2**26
 # bytes of one reduced matrix of reduce, 16*(cutoff+1)**2: the benchmark's --cutoff 128 needs
 # 266 KB, and 2047 is the largest --cutoff accepted
 _MAX_MATRIX_BYTES = 2**26
-# sweep-purity reduces and checks one matrix per (n, q0sq) point, so its largest matrix,
-# 16*(max_n+1)**2 bytes, has a tighter limit: --max-n 255 at most
+# sweep-purity sums squares over an (n+1) x (n+1) layout per (n, q0sq) point, so its time
+# grows as max_n**3; its bound on 16*(max_n+1)**2, the bytes of one reduced matrix, is
+# tighter: --max-n 255 at most
 _MAX_SWEEP_MATRIX_BYTES = 2**20
 
 

@@ -1,10 +1,11 @@
 """Truncated Fock-space states: mode splits, state families, validation.
 
 A single bosonic mode is split into the part overlapping a spatial region
-(amplitude ``q0``) and the complementary part (amplitude ``q1``), with
-``q0**2 + q1**2 == 1``.  States live on the truncated number basis
-``|0>, ..., |N>``.  A thermal state is the one number betaE in (0, +inf];
-+inf is the zero-temperature state, the vacuum.
+and the complementary part.  The split is the one number ``q0**2``, the
+mode's probability weight inside the region; the amplitudes ``q0`` and
+``q1`` = sqrt(1 - q0**2) are derived from it.  States live on the truncated
+number basis ``|0>, ..., |N>``.  A thermal state is the one number betaE in
+(0, +inf]; +inf is the zero-temperature state, the vacuum.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "overlap_from_profile",
 ]
 
-SPLIT_NORM_TOL = 1e-12
 STATE_NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -56,49 +56,36 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModeSplit:
-    """Real overlap amplitudes (q0, q1) of a mode with a region and its complement."""
+    """Overlap probability q0**2 of a mode with a region; the complement holds the rest.
 
-    q0: float
-    q1: float
+    q0**2 is kept exactly, so formulas stated in terms of it do not pick up
+    sqrt/square round-trip noise; the amplitudes are derived from it.
+    """
+
+    q0sq: float
 
     def __post_init__(self) -> None:
-        q0 = float(self.q0)
-        q1 = float(self.q1)
-        if not (math.isfinite(q0) and math.isfinite(q1)):
-            raise ValidationError("mode split amplitudes must be finite")
-        if q0 < 0.0 or q1 < 0.0:
-            raise ValidationError("mode split amplitudes must be nonnegative")
-        if abs(q0 * q0 + q1 * q1 - 1.0) > SPLIT_NORM_TOL:
-            raise ValidationError(
-                f"mode split not normalized: q0^2 + q1^2 = {q0 * q0 + q1 * q1!r}"
-            )
-        object.__setattr__(self, "q0", q0)
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "_q0sq", q0 * q0)
-        object.__setattr__(self, "_q1sq", q1 * q1)
+        q0sq = float(self.q0sq)
+        if not 0.0 <= q0sq <= 1.0:
+            raise ValidationError(f"q0sq must lie in [0, 1], got {q0sq!r}")
+        object.__setattr__(self, "q0sq", q0sq)
 
     @classmethod
     def from_q0sq(cls, q0sq: float) -> "ModeSplit":
-        """Build a split from the region overlap probability q0**2.
-
-        The given probability is kept exactly, so formulas stated in
-        terms of q0**2 do not pick up sqrt/square round-trip noise.
-        """
-        q0sq = float(q0sq)
-        if not 0.0 <= q0sq <= 1.0:
-            raise ValidationError(f"q0sq must lie in [0, 1], got {q0sq!r}")
-        split = cls(math.sqrt(q0sq), math.sqrt(1.0 - q0sq))
-        object.__setattr__(split, "_q0sq", q0sq)
-        object.__setattr__(split, "_q1sq", 1.0 - q0sq)
-        return split
-
-    @property
-    def q0sq(self) -> float:
-        return self._q0sq
+        """Same as ModeSplit(q0sq)."""
+        return cls(q0sq)
 
     @property
     def q1sq(self) -> float:
-        return self._q1sq
+        return 1.0 - self.q0sq
+
+    @property
+    def q0(self) -> float:
+        return math.sqrt(self.q0sq)
+
+    @property
+    def q1(self) -> float:
+        return math.sqrt(self.q1sq)
 
 
 @dataclass(frozen=True)
@@ -316,8 +303,10 @@ class Mixture:
         states = tuple(self.states)
         if len(weights) == 0 or len(weights) != len(states):
             raise ValidationError("mixture needs equally many weights and states")
-        if any(not math.isfinite(w) or w < 0.0 for w in weights):
-            raise ValidationError("mixture weights must be finite and nonnegative")
+        # no weight may exceed 1 (beyond the sum's tolerance), so the sum below cannot overflow
+        bad = [w for w in weights if not 0.0 <= w <= 1.0 + STATE_NORM_TOL]
+        if bad:
+            raise ValidationError(f"mixture weights must lie in [0, 1], got {bad[0]!r}")
         if abs(math.fsum(weights) - 1.0) > STATE_NORM_TOL:
             raise ValidationError(f"mixture weights must sum to 1, got {math.fsum(weights)!r}")
         if any(not isinstance(s, FockVector) for s in states):
@@ -511,21 +500,34 @@ def overlap_from_profile(
     xs = arr[:, 0].real.astype(float)
     if np.any(np.imag(arr[:, 0]) != 0.0):
         raise ValidationError("positions must be real")
-    if not np.all(np.isfinite(xs)) or np.any(np.diff(xs) <= 0.0):
+    with np.errstate(over="ignore"):  # a step past the largest float is inf, still positive
+        increasing = np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0.0)
+    if not increasing:
         raise ValidationError("positions must be finite and strictly increasing")
-    ws = np.abs(arr[:, 1]) ** 2
-    if not np.all(np.isfinite(ws)):
+    if not np.all(np.isfinite(arr[:, 1])):
         raise ValidationError("profile values must be finite")
+    with np.errstate(over="ignore"):  # an overflowing square is inf, which the check rejects
+        ws = np.abs(arr[:, 1]) ** 2
+    if not np.all(np.isfinite(ws)):
+        raise ValidationError("profile values too large: their squared magnitudes overflow")
     a, b = float(region[0]), float(region[1])
     if not (math.isfinite(a) and math.isfinite(b)) or a > b:
         raise ValidationError(f"region must be an interval (a, b) with a <= b, got {region!r}")
     if xs.size == 1:
         raise ValidationError("at least two samples are needed for quadrature")
-    total = _piecewise_linear_integral(xs, ws, xs[0], xs[-1])
+    overflow = "profile norm overflows: the integral of |value|^2 exceeds the largest float"
+    # an overflowing quadrature gives inf, or NaN from inf - inf, which the checks name
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _piecewise_linear_integral(xs, ws, xs[0], xs[-1])
+    if not math.isfinite(total):
+        raise ValidationError(overflow)
     if total <= 0.0:
         raise ValidationError("profile has zero norm over the sampled range")
     lo, hi = max(a, float(xs[0])), min(b, float(xs[-1]))
     if lo >= hi:
         return 0.0
-    q0sq = _piecewise_linear_integral(xs, ws, lo, hi) / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        q0sq = _piecewise_linear_integral(xs, ws, lo, hi) / total
+    if not math.isfinite(q0sq):
+        raise ValidationError(overflow)
     return min(max(q0sq, 0.0), 1.0)

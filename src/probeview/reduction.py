@@ -207,7 +207,7 @@ def reduce_pure_states(states: Sequence[FockVector], split: ModeSplit) -> np.nda
     states
         Normalized amplitudes psi_0..psi_N, all of the same length N+1.
     split
-        Region/complement amplitudes (q0, q1).
+        Region overlap q0**2; the amplitudes q0, q1 derive from it.
 
     Returns
     -------
@@ -237,7 +237,7 @@ def reduce_pure_general(psi: FockVector, split: ModeSplit) -> ReductionReport:
     psi
         Normalized amplitudes psi_0..psi_N.
     split
-        Region/complement amplitudes (q0, q1).
+        Region overlap q0**2; the amplitudes q0, q1 derive from it.
 
     Returns
     -------

@@ -18,7 +18,7 @@ def cat_vector() -> FockVector:
 
 
 def split_from_amplitude(q0: float) -> ModeSplit:
-    return ModeSplit(q0, math.sqrt(1.0 - q0 * q0))
+    return ModeSplit(q0 * q0)
 
 
 def spectral_mixture(rho: DensityMatrix) -> Mixture:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from helpers import cat_vector, pad_matrix
 from probeview import (
-    ConsistencyError,
     ModeSplit,
     SweepResult,
     ValidationError,
@@ -78,6 +77,15 @@ class TestPuritySweep:
         values = [row[2] for row in result.rows]
         for k in range(len(grid)):
             assert values[k] == pytest.approx(values[len(grid) - 1 - k], abs=1e-12)
+
+    def test_equals_purity_of_reduced_matrix_bitwise(self):
+        # the sweep builds no density matrix; its sum runs over the same layout as purity's
+        grid = np.linspace(0.0, 1.0, 21)
+        result = purity_sweep(range(41), grid)
+        expected = [
+            purity(reduce_number_state(n, ModeSplit(q0sq))) for n in range(41) for q0sq in grid
+        ]
+        assert [row[2] for row in result.rows] == expected
 
     def test_rows_ordered_and_deduplicated(self):
         result = purity_sweep([2, 1, 2], [0.5, 0.1, 0.5])
@@ -205,7 +213,3 @@ class TestSweepResult:
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValidationError):
             SweepResult(((0.0, 1.0), (1.0,)), ("x", "y"))
-
-
-def test_consistency_error_is_runtime_error():
-    assert issubclass(ConsistencyError, RuntimeError)

@@ -593,6 +593,14 @@ class TestValidationExits:
             ("reduce", "--state", '{"family": "thermal", "betaE": NaN}', "--q0sq", "0.5"),
             ("reduce", "--alpha", "1e200", "--q0sq", "0.5"),
             ("reduce", "--alpha", "1.5e308,1.5e308", "--q0sq", "1"),
+            (
+                "reduce",
+                "--state",
+                '{"family":"mixture","weights":[1e308,1e308],'
+                '"states":[{"family":"number","n":1},{"family":"number","n":0}]}',
+                "--q0sq",
+                "0.5",
+            ),
         ],
     )
     def test_exit_two(self, capsys, argv):
@@ -630,6 +638,15 @@ class TestValidationExits:
         )
         code, _ = run_cli(capsys, "reduce", "--state", descriptor, "--q0sq", "0.5")
         assert code == 2
+
+    def test_profile_with_overflowing_squares_names_the_cause(self, capsys, tmp_path):
+        # the values are finite, their squares are not; no numpy warning reaches stderr
+        path = tmp_path / "huge.txt"
+        path.write_text("0 1e200\n1 1e200\n2 1e200\n")
+        code = main(["profile-overlap", "--profile", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: profile values too large: their squared magnitudes overflow\n"
 
     def test_malformed_profile_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -1,5 +1,6 @@
 """Core state types, materialization, and profile ingestion."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -38,7 +39,7 @@ from probeview.fock import PSD_TOL, _gram_psd_bound, _violations
 
 class TestModeSplit:
     def test_valid_pair(self):
-        split = ModeSplit(0.6, 0.8)
+        split = ModeSplit(0.36)
         assert split.q0 == 0.6
         assert split.q1 == 0.8
 
@@ -48,14 +49,12 @@ class TestModeSplit:
         assert split.q1sq == 0.7
         assert math.isclose(split.q0**2, 0.3, rel_tol=1e-15)
 
-    @pytest.mark.parametrize("q0,q1", [(0.5, 0.5), (1.0, 0.1), (0.0, 0.0)])
-    def test_rejects_unnormalized(self, q0, q1):
-        with pytest.raises(ValidationError):
-            ModeSplit(q0, q1)
-
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
-            ModeSplit(-0.6, 0.8)
+            ModeSplit(-0.36)
+
+    def test_has_one_field(self):
+        assert [field.name for field in dataclasses.fields(ModeSplit)] == ["q0sq"]
 
     @pytest.mark.parametrize("q0sq", [-0.1, 1.1, float("nan")])
     def test_from_q0sq_rejects_out_of_range(self, q0sq):
@@ -67,6 +66,10 @@ class TestModeSplit:
         split = ModeSplit.from_q0sq(q0sq)
         assert abs(split.q0**2 + split.q1**2 - 1.0) <= 1e-12
         assert split.q0sq == q0sq
+        # the amplitudes are derived from q0sq alone
+        assert split == ModeSplit(q0sq)
+        assert (split.q0, split.q1sq) == (math.sqrt(q0sq), 1.0 - q0sq)
+        assert split.q1 == math.sqrt(1.0 - q0sq)
 
 
 class TestFockVector:
@@ -444,6 +447,13 @@ class TestFamilyValidation:
             Mixture((1.5, -0.5), states)
         with pytest.raises(ValidationError):
             Mixture((1.0,), states)
+        # their sum would overflow math.fsum, which raises OverflowError of its own
+        with pytest.raises(ValidationError, match="mixture weights"):
+            Mixture((1e308, 1e308), states)
+
+    def test_mixture_keeps_weight_within_tolerance_of_one(self):
+        mix = Mixture((1.0 + 5e-11,), (number_vector(0),))
+        assert mix.weights == (1.0 + 5e-11,)
 
     @pytest.mark.parametrize("cutoff,tail_tol", [(0, 1e-12), (4, 0.0), (4, 1.0)])
     def test_truncation_policy_bounds(self, cutoff, tail_tol):
@@ -620,6 +630,22 @@ class TestOverlapFromProfile:
         samples = [(x, 1.0) for x in np.linspace(0.0, 1.0, 11)]
         with pytest.raises(ValidationError):
             overlap_from_profile(samples, (1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "samples, cause",
+        [
+            ([(0.0, 1e200), (1.0, 1e200), (2.0, 1e200)], "squared magnitudes overflow"),
+            ([(0.0, 1e154), (1.0, 1.3e154), (2.0, 1e154)], "norm overflows"),
+            ([(-1e308, 1.0), (0.0, 1.0), (1e308, 1.0)], "norm overflows"),
+            ([(0.0, 1e-200), (1e300, 1e150)], "norm overflows"),
+            # the positions' step, 2e308, overflows to inf; they still increase
+            ([(-1e308, 1.0), (1e308, 1.0)], "norm overflows"),
+        ],
+    )
+    def test_finite_but_overflowing_profile_names_the_cause(self, samples, cause):
+        # RuntimeWarnings are errors in this suite, so none may be raised on the way
+        with pytest.raises(ValidationError, match=cause):
+            overlap_from_profile(samples, (-1e308, 1e308))
 
     def test_complex_profile_uses_magnitude(self):
         xs = np.linspace(0.0, 1.0, 201)

@@ -156,7 +156,7 @@ class TestStackedExpansion:
 
 class TestSplitCreation:
     def test_identity_split_is_first_mode_ladder(self):
-        op = build_split_creation(ModeSplit(1.0, 0.0), 3)
+        op = build_split_creation(ModeSplit(1.0), 3)
         expected = np.kron(creation_matrix(3), np.eye(4))
         assert np.array_equal(op, expected)
 
@@ -205,7 +205,7 @@ class TestExpandTwoMode:
         assert np.allclose(two.coeffs, expected, rtol=0.0, atol=1e-15)
 
     def test_identity_split_stays_in_first_mode(self):
-        two = expand_two_mode(number_vector(2), ModeSplit(1.0, 0.0), 2)
+        two = expand_two_mode(number_vector(2), ModeSplit(1.0), 2)
         expected = np.zeros((3, 3))
         expected[2, 0] = 1.0
         assert np.allclose(two.coeffs, expected, rtol=0.0, atol=1e-15)
@@ -305,7 +305,7 @@ class TestPartialTraceNumeric:
     def test_keep_other_mode_swaps_split(self):
         psi = random_fock_vectors(1, 4, seed=3)[0]
         split = split_from_amplitude(0.7)
-        swapped = ModeSplit(split.q1, split.q0)
+        swapped = ModeSplit(split.q1sq)
         two = expand_two_mode(psi, split, 4)
         # the transposed grid holds the modes in the other order
         kept_second = partial_trace_numeric(TwoModeVector(two.coeffs.swapaxes(-2, -1))).elems
@@ -389,7 +389,7 @@ class TestOracleAgreement:
         psi = random_fock_vectors(1, 6, seed=9)[0]
         split = split_from_amplitude(0.35)
         a = partial_trace_numeric(expand_two_mode(psi, split, 6)).elems
-        other = expand_two_mode(psi, ModeSplit(split.q1, split.q0), 6)
+        other = expand_two_mode(psi, ModeSplit(split.q1sq), 6)
         b = partial_trace_numeric(TwoModeVector(other.coeffs.swapaxes(-2, -1))).elems
         assert np.max(np.abs(a - b)) <= 1e-12
 

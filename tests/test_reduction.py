@@ -145,7 +145,7 @@ class TestReduceNumberState:
 
 class TestReducePureGeneral:
     def test_identity_split_keeps_state(self):
-        report = reduce_pure_general(number_vector(1), ModeSplit(1.0, 0.0))
+        report = reduce_pure_general(number_vector(1), ModeSplit(1.0))
         assert np.array_equal(report.rho0.elems, np.diag([0.0, 1.0]).astype(complex))
 
     def test_equal_superposition_frozen_matrix(self):
@@ -199,9 +199,9 @@ class TestReducePureGeneral:
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi = FockVector(raw / np.linalg.norm(raw))
-        kept = reduce_pure_general(psi, ModeSplit(1.0, 0.0)).rho0.elems
+        kept = reduce_pure_general(psi, ModeSplit(1.0)).rho0.elems
         assert np.max(np.abs(kept - np.outer(psi.coeffs, psi.coeffs.conj()))) <= 1e-12
-        dropped = reduce_pure_general(psi, ModeSplit(0.0, 1.0)).rho0.elems
+        dropped = reduce_pure_general(psi, ModeSplit(0.0)).rho0.elems
         vacuum = np.zeros((dim, dim))
         vacuum[0, 0] = 1.0
         assert np.max(np.abs(dropped - vacuum)) <= 1e-12
@@ -239,7 +239,7 @@ class TestReducePureStates:
         assert np.all(np.diagonal(stacked, axis1=1, axis2=2).imag == 0.0)
 
     def test_vacuum_limit_is_exact(self):
-        stacked = reduce_pure_states([_random_state(3), _random_state(3)], ModeSplit(0.0, 1.0))
+        stacked = reduce_pure_states([_random_state(3), _random_state(3)], ModeSplit(0.0))
         vacuum = np.zeros((3, 3), dtype=complex)
         vacuum[0, 0] = 1.0
         assert np.array_equal(stacked, np.stack([vacuum, vacuum]))
@@ -264,7 +264,7 @@ class TestReduceMixed:
 
     def test_identity_split_keeps_weights(self):
         mix = Mixture((0.5, 0.5), (number_vector(0), number_vector(1)))
-        rho = reduce_mixed(mix, ModeSplit(1.0, 0.0)).rho0
+        rho = reduce_mixed(mix, ModeSplit(1.0)).rho0
         assert np.allclose(rho.diagonal(), [0.5, 0.5], rtol=0.0, atol=0.0)
 
     def test_binomial_mixture_frozen(self):
@@ -392,10 +392,10 @@ class TestKernelMatchesOracle:
 
 class TestReduceCoherent:
     def test_identity_split(self):
-        assert reduce_coherent(1.0, ModeSplit(1.0, 0.0)) == Coherent(1.0 + 0.0j)
+        assert reduce_coherent(1.0, ModeSplit(1.0)) == Coherent(1.0 + 0.0j)
 
     def test_vacuum_split(self):
-        assert reduce_coherent(2.3 + 1.0j, ModeSplit(0.0, 1.0)) == Coherent(0.0j)
+        assert reduce_coherent(2.3 + 1.0j, ModeSplit(0.0)) == Coherent(0.0j)
 
     def test_amplitude_scales(self):
         reduced = reduce_coherent(2.0, split_from_amplitude(0.5))
@@ -410,6 +410,16 @@ class TestReduceCoherent:
         result = compare_states(pure, series)
         assert result.fidelity_if_pure is not None
         assert result.fidelity_if_pure >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize("q0sq", [1e-6, 0.5, 1.0 - 1e-6])
+    def test_kernel_matches_closed_form_at_large_amplitude(self, q0sq):
+        # |alpha|^2 = 400 at cutoff 700: the kernel's amplitude table and the
+        # closed form's projector agree over the whole q0sq range
+        policy = TruncationPolicy(700)
+        split = ModeSplit(q0sq)
+        kernel = reduce_pure_general(materialize(Coherent(20.0), policy).state, split).rho0.elems
+        coeffs = materialize(reduce_coherent(20.0, split), policy).state.coeffs
+        assert np.max(np.abs(kernel - np.outer(coeffs, coeffs.conj()))) <= 1e-12
 
     @given(
         st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
@@ -492,11 +502,11 @@ class TestBetaPrime:
 
 class TestReduceThermal:
     def test_identity_split(self):
-        reduced = reduce_thermal(0.9, ModeSplit(1.0, 0.0))
+        reduced = reduce_thermal(0.9, ModeSplit(1.0))
         assert reduced == Thermal(0.9)
 
     def test_vacuum_limit(self):
-        assert reduce_thermal(1.0, ModeSplit(0.0, 1.0)) == Thermal(math.inf)
+        assert reduce_thermal(1.0, ModeSplit(0.0)) == Thermal(math.inf)
         assert reduce_thermal(math.log(2.0), ModeSplit.from_q0sq(0.0)) == Thermal(math.inf)
 
     def test_matches_number_state_mixture(self):
