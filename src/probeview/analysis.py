@@ -70,9 +70,10 @@ def purity_sweep(n_values: Iterable[int], q0sq_grid: Iterable[float]) -> SweepRe
 
     One row (n, q0sq, purity) per grid point, ordered by n then q0sq;
     duplicate grid entries are collapsed.  The reduced |n><n| is diagonal,
-    B(n, q0**2), so each q0sq builds one binomial table and no density
-    matrix; a purity sums the squares over the dense (n+1) x (n+1) layout
-    of that diagonal, so it has the bits of ``purity`` of the matrix.
+    B(n, q0**2), so each q0sq builds one binomial table, dropped before the
+    next, and no density matrix; a purity sums the squares over the dense
+    (n+1) x (n+1) layout of that diagonal, so it has the bits of ``purity``
+    of the matrix.
     """
     ns = sorted({int(n) for n in n_values})
     if not ns or ns[0] < 0:
@@ -80,12 +81,12 @@ def purity_sweep(n_values: Iterable[int], q0sq_grid: Iterable[float]) -> SweepRe
     qs = sorted({float(q) for q in q0sq_grid})
     if not qs or qs[0] < 0.0 or qs[-1] > 1.0:
         raise ValidationError("q0sq_grid values must lie in [0, 1]")
-    tables = [_binomial_diagonals(ns, ModeSplit(q0sq)) for q0sq in qs]
-    rows = []
-    for k, n in enumerate(ns):
-        for q0sq, table in zip(qs, tables):
-            value = float(np.sum(np.square(np.diag(table[k, : n + 1]))))
-            rows.append((float(n), q0sq, value))
+    values = np.empty((len(ns), len(qs)))
+    for j, q0sq in enumerate(qs):
+        table = _binomial_diagonals(ns, ModeSplit(q0sq))
+        for k, n in enumerate(ns):
+            values[k, j] = np.sum(np.square(np.diag(table[k, : n + 1])))
+    rows = [(float(n), q0sq, float(values[k, j])) for k, n in enumerate(ns) for j, q0sq in enumerate(qs)]
     return SweepResult(tuple(rows), ("n", "q0sq", "purity"))
 
 

@@ -63,9 +63,10 @@ _MAX_ORACLE_BYTES = 2**26
 # bytes of one reduced matrix of reduce, 16*(cutoff+1)**2: the benchmark's --cutoff 128 needs
 # 266 KB, and 2047 is the largest --cutoff accepted
 _MAX_MATRIX_BYTES = 2**26
-# sweep-purity sums squares over an (n+1) x (n+1) layout per (n, q0sq) point, so its time
-# grows as max_n**3; its bound on 16*(max_n+1)**2, the bytes of one reduced matrix, is
-# tighter: --max-n 255 at most
+# sweep-purity forms two (n+1) x (n+1) float arrays, 16*(n+1)**2 bytes, per (n, q0sq) point
+# to keep the bits of purity of the reduced matrix, so its time per grid point grows as
+# max_n**3; bounding those bytes at the largest n keeps --max-n at 255 and the default sweep
+# near 1 s
 _MAX_SWEEP_MATRIX_BYTES = 2**20
 
 
@@ -189,13 +190,12 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _check_matrix_bytes(flag: str, value: int, limit: int) -> None:
-    """Reject a size flag whose (value+1) x (value+1) complex matrix would exceed limit bytes."""
+def _check_matrix_bytes(flag: str, value: int, limit: int, what: str) -> None:
+    """Reject a size flag whose 16*(value+1)**2 bytes, named by what, would exceed limit."""
     implied = 16 * (value + 1) ** 2
     if implied > limit:
         raise ValidationError(
-            f"{flag} {value} implies {implied} bytes for one reduced matrix; "
-            f"the limit is {limit} bytes"
+            f"{flag} {value} implies {implied} bytes for {what}; the limit is {limit} bytes"
         )
 
 
@@ -308,7 +308,7 @@ def _parse_state(text: str, policy: TruncationPolicy) -> StateFamily:
 
 def _reduce_one(family: StateFamily, q0sq: float, policy: TruncationPolicy) -> DensityMatrix:
     """Route one reduction through the tightest applicable formula."""
-    split = ModeSplit.from_q0sq(q0sq)
+    split = ModeSplit(q0sq)
     if isinstance(family, Number):
         materialize(family, policy)  # the cutoff must hold |n>, as for a mixture component
         return reduce_number_state(family.n, split)
@@ -341,7 +341,7 @@ def _cmd_reduce(args: argparse.Namespace):
     grid = _parse_q0sq(args.q0sq)
     # one policy for every materialization of the run, mixture components included
     policy = TruncationPolicy(args.cutoff, tail_tol=_check_tol(args.tol))
-    _check_matrix_bytes("--cutoff", args.cutoff, _MAX_MATRIX_BYTES)
+    _check_matrix_bytes("--cutoff", args.cutoff, _MAX_MATRIX_BYTES, "one reduced matrix")
     if args.alpha is not None:
         family = Coherent(_parse_alpha(args.alpha))
     else:
@@ -394,7 +394,7 @@ def _cmd_sweep_purity(args: argparse.Namespace):
     grid = _parse_q0sq(args.q0sq)
     if args.max_n < 1:
         raise ValidationError(f"--max-n must be >= 1, got {args.max_n}")
-    _check_matrix_bytes("--max-n", args.max_n, _MAX_SWEEP_MATRIX_BYTES)
+    _check_matrix_bytes("--max-n", args.max_n, _MAX_SWEEP_MATRIX_BYTES, "the float arrays of one purity")
     sweep = purity_sweep(range(1, args.max_n + 1), grid)
     payload, lines = _sweep_payload("sweep-purity", sweep)
     return payload, lines, 0
@@ -445,7 +445,7 @@ def _cmd_oracle_check(args: argparse.Namespace):
     diagonal = np.arange(max_n + 1)
     closed = np.zeros((max_n + 1, max_n + 1, max_n + 1), dtype=complex)
     for q0sq in grid:
-        split = ModeSplit.from_q0sq(q0sq)
+        split = ModeSplit(q0sq)
         numeric = partial_trace_numeric(expand_two_mode(basis + randoms, split, max_n))
         series = reduce_pure_states(randoms, split)
         closed[:, diagonal, diagonal] = _binomial_diagonals(range(max_n + 1), split)

@@ -72,7 +72,7 @@ class ModeSplit:
 
     @classmethod
     def from_q0sq(cls, q0sq: float) -> "ModeSplit":
-        """Same as ModeSplit(q0sq)."""
+        """Same as ModeSplit(q0sq); kept only because benchmarks/ calls it."""
         return cls(q0sq)
 
     @property
@@ -515,19 +515,21 @@ def overlap_from_profile(
         raise ValidationError(f"region must be an interval (a, b) with a <= b, got {region!r}")
     if xs.size == 1:
         raise ValidationError("at least two samples are needed for quadrature")
-    overflow = "profile norm overflows: the integral of |value|^2 exceeds the largest float"
-    # an overflowing quadrature gives inf, or NaN from inf - inf, which the checks name
+    # an overflowing quadrature gives inf, or NaN from inf - inf, which the check names
     with np.errstate(over="ignore", invalid="ignore"):
         total = _piecewise_linear_integral(xs, ws, xs[0], xs[-1])
     if not math.isfinite(total):
-        raise ValidationError(overflow)
+        raise ValidationError("profile norm overflows: the integral of |value|^2 exceeds the largest float")
     if total <= 0.0:
         raise ValidationError("profile has zero norm over the sampled range")
     lo, hi = max(a, float(xs[0])), min(b, float(xs[-1]))
     if lo >= hi:
         return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the total interpolates only at samples; a region end between two samples takes the
+    # slope of |value|^2 there, which is +-inf when that step is subnormally short, and two
+    # such ends of opposite slope sum to NaN
+    with np.errstate(invalid="ignore"):
         q0sq = _piecewise_linear_integral(xs, ws, lo, hi) / total
     if not math.isfinite(q0sq):
-        raise ValidationError(overflow)
+        raise ValidationError("profile too steep: the slope of |value|^2 at a region end overflows")
     return min(max(q0sq, 0.0), 1.0)

@@ -1,6 +1,7 @@
 """Purity, parameter sweeps, and closed-form cross-checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,20 @@ class TestPuritySweep:
             purity(reduce_number_state(n, ModeSplit(q0sq))) for n in range(41) for q0sq in grid
         ]
         assert [row[2] for row in result.rows] == expected
+
+    def test_memory_does_not_grow_by_a_table_per_grid_point(self):
+        # n = 255 has a table row of 256 floats, 2 KB, per q0sq; each is dropped before the
+        # next, so 50 more grid points may add their rows but not 50 tables
+        def peak(points):
+            grid = np.linspace(0.0, 1.0, points)
+            tracemalloc.start()
+            try:
+                purity_sweep([255], grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(60) - peak(10) < 50 * 1024
 
     def test_rows_ordered_and_deduplicated(self):
         result = purity_sweep([2, 1, 2], [0.5, 0.1, 0.5])

@@ -647,6 +647,23 @@ class TestOverlapFromProfile:
         with pytest.raises(ValidationError, match=cause):
             overlap_from_profile(samples, (-1e308, 1e308))
 
+    @pytest.mark.parametrize(
+        "samples, region",
+        [
+            # a finite norm, 5e-324, but the slope 1/1e-323 at the region end is inf
+            ([(0.0, 0.0), (1e-323, 1.0)], (0.0, 5e-324)),
+            ([(0.0, 1.0), (1e-323, 0.0)], (0.0, 5e-324)),
+            # ends in two such steps, slopes +inf and -inf: their sum is NaN
+            (
+                [(0.0, 0.0), (1e-323, 1.0), (1.0, 1e150), (1.0 + 2**-51, 0.0)],
+                (5e-324, 1.0 + 2**-52),
+            ),
+        ],
+    )
+    def test_overflowing_slope_at_region_end_names_the_cause(self, samples, region):
+        with pytest.raises(ValidationError, match="slope of \\|value\\|\\^2 at a region end overflows"):
+            overlap_from_profile(samples, region)
+
     def test_complex_profile_uses_magnitude(self):
         xs = np.linspace(0.0, 1.0, 201)
         samples = list(zip(xs, np.exp(1j * xs)))

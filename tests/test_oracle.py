@@ -94,7 +94,7 @@ class TestTwoModeVector:
 
     def test_expansion_is_checked_without_a_copy(self):
         states = random_fock_vectors(8, 100, seed=2)
-        two = expand_two_mode(states, ModeSplit.from_q0sq(0.4), 100)
+        two = expand_two_mode(states, ModeSplit(0.4), 100)
         assert not two.coeffs.flags.writeable
         fresh = np.array(two.coeffs)
         tracemalloc.start()
@@ -124,7 +124,7 @@ class TestStackedExpansion:
     )
     def test_stack_equals_each_state_alone(self, dims, q0sq, seed):
         states = _random_vectors(dims, seed)
-        split = ModeSplit.from_q0sq(q0sq)
+        split = ModeSplit(q0sq)
         cutoff = max(max(dims) - 1, 1)
         stacked = expand_two_mode(states, split, cutoff)
         marginals = partial_trace_numeric(stacked)
@@ -140,12 +140,12 @@ class TestStackedExpansion:
 
     def test_sequence_of_one_keeps_the_state_axis(self):
         psi = random_fock_vectors(1, 3, seed=4)[0]
-        stacked = expand_two_mode([psi], ModeSplit.from_q0sq(0.3), 3)
+        stacked = expand_two_mode([psi], ModeSplit(0.3), 3)
         assert stacked.coeffs.shape == (1, 4, 4)
         assert isinstance(partial_trace_numeric(stacked), np.ndarray)
 
     def test_rejects_empty_or_oversized_stacks(self):
-        split = ModeSplit.from_q0sq(0.5)
+        split = ModeSplit(0.5)
         with pytest.raises(ValidationError):
             expand_two_mode([], split, 2)
         with pytest.raises(ValidationError):
@@ -199,7 +199,7 @@ class TestSplitCreation:
 
 class TestExpandTwoMode:
     def test_single_photon_splits(self):
-        two = expand_two_mode(number_vector(1), ModeSplit.from_q0sq(0.5), 1)
+        two = expand_two_mode(number_vector(1), ModeSplit(0.5), 1)
         expected = np.zeros((2, 2))
         expected[1, 0] = expected[0, 1] = 1.0 / math.sqrt(2.0)
         assert np.allclose(two.coeffs, expected, rtol=0.0, atol=1e-15)
@@ -211,7 +211,7 @@ class TestExpandTwoMode:
         assert np.allclose(two.coeffs, expected, rtol=0.0, atol=1e-15)
 
     def test_equal_superposition_coefficients(self):
-        two = expand_two_mode(cat_vector(), ModeSplit.from_q0sq(0.5), 1)
+        two = expand_two_mode(cat_vector(), ModeSplit(0.5), 1)
         expected = np.array([[1.0 / math.sqrt(2.0), 0.5], [0.5, 0.0]])
         assert np.allclose(two.coeffs, expected, rtol=0.0, atol=1e-15)
 
@@ -230,7 +230,7 @@ class TestExpandTwoMode:
 
     def test_support_beyond_cutoff_rejected(self):
         with pytest.raises(ValidationError):
-            expand_two_mode(number_vector(3), ModeSplit.from_q0sq(0.5), 2)
+            expand_two_mode(number_vector(3), ModeSplit(0.5), 2)
 
     def test_matches_dense_operator_polynomial(self):
         # apply the dense split ladder explicitly: sum_n c_n (a_q^dag)^n / sqrt(n!) |0,0>
@@ -253,7 +253,7 @@ class TestExpandTwoMode:
     def test_stack_and_single_match_dense_ladder(self, q0sq):
         # supports 1..9 on one basis: nine states fold their rungs in one block,
         # the last three in blocks of three, and a single state one rung at a time
-        split = ModeSplit.from_q0sq(q0sq)
+        split = ModeSplit(q0sq)
         cutoff = 8
         states = [random_fock_vectors(1, support, seed=support)[0] for support in range(9)]
         expected = [dense_ladder_expansion(psi, split, cutoff) for psi in states]
@@ -272,7 +272,7 @@ class TestExpandTwoMode:
     def test_single_state_holds_one_rung_at_a_time(self):
         # a buffer of every rung would be 257 times the output at this support
         psi = random_fock_vectors(1, 256, seed=3)[0]
-        split = ModeSplit.from_q0sq(0.4)
+        split = ModeSplit(0.4)
         tracemalloc.start()
         try:
             two = expand_two_mode(psi, split, 256)
@@ -298,7 +298,7 @@ class TestPartialTraceNumeric:
         assert np.allclose(rho, np.diag([0.5, 0.5]), rtol=0.0, atol=1e-15)
 
     def test_two_photons_half_split(self):
-        two = expand_two_mode(number_vector(2), ModeSplit.from_q0sq(0.5), 2)
+        two = expand_two_mode(number_vector(2), ModeSplit(0.5), 2)
         rho = partial_trace_numeric(two).elems
         assert np.allclose(np.diag(rho), [0.25, 0.5, 0.25], rtol=0.0, atol=1e-15)
 
@@ -358,7 +358,7 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("n", range(9))
     def test_number_states_match_closed_form(self, n):
         for q0sq in np.linspace(0.0, 1.0, 11):
-            split = ModeSplit.from_q0sq(q0sq)
+            split = ModeSplit(q0sq)
             numeric = partial_trace_numeric(
                 expand_two_mode(number_vector(n), split, max(n, 1))
             ).elems
@@ -371,7 +371,7 @@ class TestOracleAgreement:
             assert np.max(np.abs(padded - target)) <= 1e-10
 
     def test_random_states_match_series(self):
-        splits = [ModeSplit.from_q0sq(s) for s in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        splits = [ModeSplit(s) for s in (0.0, 0.25, 0.5, 0.75, 1.0)]
         worst = 0.0
         for psi in random_fock_vectors(100, 8, seed=42):
             cutoff = psi.dim - 1

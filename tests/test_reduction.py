@@ -96,33 +96,33 @@ class TestBinomialPmf:
 
 class TestReduceNumberState:
     def test_vacuum_invariant(self):
-        rho = reduce_number_state(0, ModeSplit.from_q0sq(0.37))
+        rho = reduce_number_state(0, ModeSplit(0.37))
         assert rho.elems.shape == (1, 1)
         assert rho.elems[0, 0] == 1.0
 
     def test_fully_outside_region(self):
-        rho = reduce_number_state(3, ModeSplit.from_q0sq(0.0))
+        rho = reduce_number_state(3, ModeSplit(0.0))
         assert np.allclose(rho.diagonal(), [1.0, 0.0, 0.0, 0.0], rtol=0.0, atol=0.0)
 
     def test_two_photon_half(self):
-        rho = reduce_number_state(2, ModeSplit.from_q0sq(0.5))
+        rho = reduce_number_state(2, ModeSplit(0.5))
         assert np.allclose(rho.diagonal(), [0.25, 0.5, 0.25], rtol=0.0, atol=1e-15)
         assert np.allclose(rho.elems, np.diag(rho.diagonal()), rtol=0.0, atol=0.0)
 
     @pytest.mark.parametrize("n", [1, 5, 17, 64])
     @pytest.mark.parametrize("q0sq", [0.1, 0.5, 0.9])
     def test_trace_compensated(self, n, q0sq):
-        diag = reduce_number_state(n, ModeSplit.from_q0sq(q0sq)).diagonal()
+        diag = reduce_number_state(n, ModeSplit(q0sq)).diagonal()
         assert abs(math.fsum(diag) - 1.0) <= 1e-14
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
-            reduce_number_state(-1, ModeSplit.from_q0sq(0.5))
+            reduce_number_state(-1, ModeSplit(0.5))
 
     @pytest.mark.parametrize("q0sq", [0.0, 1e-300, 1e-6, 0.3, 0.5, 1.0 - 1e-6, 1.0])
     def test_stacked_diagonals_match_each_state(self, q0sq):
         # oracle-check builds its closed forms for |0>..|max_n> as this one stack
-        split = ModeSplit.from_q0sq(q0sq)
+        split = ModeSplit(q0sq)
         diagonal = np.arange(41)
         stack = np.zeros((41, 41, 41), dtype=complex)
         stack[:, diagonal, diagonal] = _binomial_diagonals(range(41), split)
@@ -134,7 +134,7 @@ class TestReduceNumberState:
     @pytest.mark.parametrize("q0sq", [0.0, 5e-324, 1e-300, 1e-6, 0.3, 0.5, 1.0 - 1e-6, 1.0])
     def test_diagonals_equal_binomial_pmf_bitwise(self, q0sq):
         # exact-comb rows up to _EXACT_COMB_LIMIT = 1000, then the per-entry log-gamma path
-        split = ModeSplit.from_q0sq(q0sq)
+        split = ModeSplit(q0sq)
         occupations = [*range(70), 200, 999, 1000, 1001, 1200]
         diags = _binomial_diagonals(occupations, split)
         assert diags.shape == (len(occupations), 1201)
@@ -150,32 +150,32 @@ class TestReducePureGeneral:
 
     def test_equal_superposition_frozen_matrix(self):
         # brute-force two-mode value: off-diagonal is q0/2 = 1/(2 sqrt 2)
-        report = reduce_pure_general(cat_vector(), ModeSplit.from_q0sq(0.5))
+        report = reduce_pure_general(cat_vector(), ModeSplit(0.5))
         expected = np.array([[0.75, 0.3535533905932738], [0.3535533905932738, 0.25]])
         assert np.allclose(report.rho0.elems, expected, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("q0sq", [0.3, 0.7])
     def test_off_diagonal_scales_with_amplitude(self, q0sq):
-        report = reduce_pure_general(cat_vector(), ModeSplit.from_q0sq(q0sq))
+        report = reduce_pure_general(cat_vector(), ModeSplit(q0sq))
         assert report.rho0.elems[0, 1].real == pytest.approx(math.sqrt(q0sq) / 2.0, abs=1e-15)
 
     def test_number_two_matches_binomial(self):
-        report = reduce_pure_general(number_vector(2), ModeSplit.from_q0sq(0.5))
+        report = reduce_pure_general(number_vector(2), ModeSplit(0.5))
         assert np.allclose(report.rho0.diagonal(), [0.25, 0.5, 0.25], rtol=0.0, atol=1e-15)
 
     def test_report_bookkeeping(self):
-        report = reduce_pure_general(_random_state(5), ModeSplit.from_q0sq(0.4))
+        report = reduce_pure_general(_random_state(5), ModeSplit(0.4))
         assert report.rho0.dim == 5
 
     def test_input_validation(self):
         with pytest.raises(ValidationError):
-            reduce_pure_general(np.array([1.0, 0.0]), ModeSplit.from_q0sq(0.5))
+            reduce_pure_general(np.array([1.0, 0.0]), ModeSplit(0.5))
 
     @pytest.mark.parametrize("n", range(13))
     def test_number_states_match_closed_form(self, n):
         # the series and the binomial closed form must agree elementwise
         for q0sq in np.linspace(0.0, 1.0, 11):
-            split = ModeSplit.from_q0sq(q0sq)
+            split = ModeSplit(q0sq)
             series = reduce_pure_general(number_vector(n), split).rho0.elems
             closed = reduce_number_state(n, split).elems
             assert np.max(np.abs(series - closed)) <= 1e-12
@@ -189,7 +189,7 @@ class TestReducePureGeneral:
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi = FockVector(raw / np.linalg.norm(raw))
-        rho = reduce_pure_general(psi, ModeSplit.from_q0sq(q0sq)).rho0
+        rho = reduce_pure_general(psi, ModeSplit(q0sq)).rho0
         assert validate_density_matrix(rho.elems) == []
         assert abs(float(np.trace(rho.elems).real) - 1.0) <= 1e-10
         assert float(np.linalg.eigvalsh(rho.elems)[0]) >= -1e-10
@@ -215,7 +215,7 @@ class TestReducePureGeneral:
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi = FockVector(raw / np.linalg.norm(raw))
-        rho = reduce_pure_general(psi, ModeSplit.from_q0sq(q0sq)).rho0
+        rho = reduce_pure_general(psi, ModeSplit(q0sq)).rho0
         assert number_expectation(rho) == pytest.approx(
             q0sq * number_expectation(psi), abs=1e-9
         )
@@ -230,7 +230,7 @@ class TestReducePureStates:
     )
     def test_stack_equals_each_state_alone(self, dim, count, q0sq, seed):
         states = [_seeded_state(dim, seed + k) for k in range(count)]
-        split = ModeSplit.from_q0sq(q0sq)
+        split = ModeSplit(q0sq)
         stacked = reduce_pure_states(states, split)
         assert stacked.shape == (count, dim, dim)
         for k, psi in enumerate(states):
@@ -245,7 +245,7 @@ class TestReducePureStates:
         assert np.array_equal(stacked, np.stack([vacuum, vacuum]))
 
     def test_input_validation(self):
-        split = ModeSplit.from_q0sq(0.5)
+        split = ModeSplit(0.5)
         with pytest.raises(ValidationError):
             reduce_pure_states([], split)
         with pytest.raises(ValidationError):
@@ -257,7 +257,7 @@ class TestReducePureStates:
 class TestReduceMixed:
     def test_singleton_equals_pure(self):
         psi = _random_state(4)
-        split = ModeSplit.from_q0sq(0.6)
+        split = ModeSplit(0.6)
         mixed = reduce_mixed(Mixture((1.0,), (psi,)), split).rho0.elems
         pure = reduce_pure_general(psi, split).rho0.elems
         assert np.array_equal(mixed, pure)
@@ -270,16 +270,16 @@ class TestReduceMixed:
     def test_binomial_mixture_frozen(self):
         # 0.5*B(1, 1/2) + 0.5*B(2, 1/2) -> diag(0.375, 0.5, 0.125)
         mix = Mixture((0.5, 0.5), (number_vector(1), number_vector(2)))
-        rho = reduce_mixed(mix, ModeSplit.from_q0sq(0.5)).rho0
+        rho = reduce_mixed(mix, ModeSplit(0.5)).rho0
         assert np.allclose(rho.diagonal(), [0.375, 0.5, 0.125], rtol=0.0, atol=1e-15)
 
     def test_rejects_non_mixture(self):
         with pytest.raises(ValidationError):
-            reduce_mixed(number_vector(1), ModeSplit.from_q0sq(0.5))
+            reduce_mixed(number_vector(1), ModeSplit(0.5))
 
     def test_diagonal_is_exactly_real(self):
         mix = Mixture((0.3, 0.7), (_seeded_state(9, 1), _seeded_state(5, 2)))
-        rho = reduce_mixed(mix, ModeSplit.from_q0sq(0.4)).rho0.elems
+        rho = reduce_mixed(mix, ModeSplit(0.4)).rho0.elems
         assert np.all(rho.diagonal().imag == 0.0)
 
 
@@ -298,7 +298,7 @@ class TestOneGramPath:
     def test_pure_stack_and_mixture_agree_bitwise(self, support, q0sq):
         # every driver forms G G^dagger in the one routine, so the results share every bit
         psi = _seeded_state(support + 1, support + 7)
-        split = ModeSplit.from_q0sq(q0sq)
+        split = ModeSplit(q0sq)
         pure = reduce_pure_general(psi, split).rho0.elems
         assert np.array_equal(pure, reduce_pure_states((psi,), split)[0])
         assert np.array_equal(pure, reduce_mixed(Mixture((1.0,), (psi,)), split).rho0.elems)
@@ -308,7 +308,7 @@ class TestOneGramPath:
 def _large_reduction(support: int, q0sq: float):
     """One random state of support N and its reduction, shared by the large-N checks."""
     psi = _seeded_state(support + 1, support)
-    return psi, reduce_pure_general(psi, ModeSplit.from_q0sq(q0sq)).rho0
+    return psi, reduce_pure_general(psi, ModeSplit(q0sq)).rho0
 
 
 def _mp_element(psi: np.ndarray, q0sq: float, i: int, j: int) -> complex:
@@ -340,7 +340,7 @@ class TestKernelLargeN:
     def test_small_overlap_at_n_1100_does_not_overflow(self):
         # the former pairwise series overflowed to inf here and failed validation
         psi = _seeded_state(1101, 1100)
-        rho = reduce_pure_general(psi, ModeSplit.from_q0sq(1e-4)).rho0
+        rho = reduce_pure_general(psi, ModeSplit(1e-4)).rho0
         assert rho.dim == 1101
         assert abs(complex(np.trace(rho.elems)) - 1.0) <= 1e-10
 
@@ -369,7 +369,7 @@ class TestKernelMatchesOracle:
     )
     def test_pure(self, dim, q0sq, seed):
         psi = _seeded_state(dim, seed)
-        split = ModeSplit.from_q0sq(q0sq)
+        split = ModeSplit(q0sq)
         rho = reduce_pure_general(psi, split).rho0.elems
         oracle = _oracle_reduction((psi,), (1.0,), split, dim)
         assert np.max(np.abs(pad_matrix(rho, oracle.shape[0]) - oracle)) <= 1e-12
@@ -384,7 +384,7 @@ class TestKernelMatchesOracle:
         raw = rng.uniform(0.1, 1.0, len(dims))
         weights = tuple(float(w) for w in raw / raw.sum())
         states = tuple(_seeded_state(d, seed + k) for k, d in enumerate(dims))
-        split = ModeSplit.from_q0sq(q0sq)
+        split = ModeSplit(q0sq)
         rho = reduce_mixed(Mixture(weights, states), split).rho0.elems
         oracle = _oracle_reduction(states, weights, split, max(dims))
         assert np.max(np.abs(pad_matrix(rho, oracle.shape[0]) - oracle)) <= 1e-12
@@ -427,7 +427,7 @@ class TestReduceCoherent:
     )
     def test_series_purity_stays_one(self, alpha, q0sq):
         psi = materialize(Coherent(alpha), TruncationPolicy(48)).state
-        rho = reduce_pure_general(psi, ModeSplit.from_q0sq(q0sq)).rho0
+        rho = reduce_pure_general(psi, ModeSplit(q0sq)).rho0
         assert float(np.sum(np.abs(rho.elems) ** 2)) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -507,12 +507,12 @@ class TestReduceThermal:
 
     def test_vacuum_limit(self):
         assert reduce_thermal(1.0, ModeSplit(0.0)) == Thermal(math.inf)
-        assert reduce_thermal(math.log(2.0), ModeSplit.from_q0sq(0.0)) == Thermal(math.inf)
+        assert reduce_thermal(math.log(2.0), ModeSplit(0.0)) == Thermal(math.inf)
 
     def test_matches_number_state_mixture(self):
         # reduce the thermal weights rung by rung and compare diagonals
         cutoff = 48
-        split = ModeSplit.from_q0sq(0.5)
+        split = ModeSplit(0.5)
         weights = materialize(Thermal(math.log(2.0)), TruncationPolicy(cutoff)).state.diagonal()
         mix = Mixture(tuple(weights / weights.sum()), tuple(number_vector(n) for n in range(cutoff + 1)))
         by_mixture = reduce_mixed(mix, split).rho0
@@ -523,7 +523,7 @@ class TestReduceThermal:
 
     @given(st.floats(min_value=0.6, max_value=3.0), st.floats(min_value=0.05, max_value=1.0))
     def test_mean_occupation_scales(self, beta_energy, q0sq):
-        split = ModeSplit.from_q0sq(q0sq)
+        split = ModeSplit(q0sq)
         original = materialize(Thermal(beta_energy), TruncationPolicy(64)).state
         reduced = materialize(reduce_thermal(beta_energy, split), TruncationPolicy(64)).state
         assert number_expectation(reduced) == pytest.approx(
