@@ -9,7 +9,7 @@ verifier, and sweep helpers plus a CLI that emit the derived curves as
 CSV/JSON.
 """
 
-from .analysis import SweepResult, cat_purity, purity, purity_sweep, thermal_sweep
+from .analysis import SweepResult, cat_purity, oracle_check, purity, purity_sweep, thermal_sweep
 from .fock import (
     Coherent,
     DensityMatrix,
@@ -46,6 +46,7 @@ from .reduction import (
     reduce_number_state,
     reduce_pure_general,
     reduce_pure_states,
+    reduce_state,
     reduce_thermal,
 )
 
@@ -79,6 +80,7 @@ __all__ = [
     "reduce_coherent",
     "beta_prime",
     "reduce_thermal",
+    "reduce_state",
     "TwoModeVector",
     "CompareResult",
     "expand_two_mode",
@@ -90,4 +92,5 @@ __all__ = [
     "purity_sweep",
     "thermal_sweep",
     "cat_purity",
+    "oracle_check",
 ]

@@ -1,20 +1,22 @@
-"""Derived quantities: purity and parameter sweeps over the region overlap.
+"""Derived quantities: purity, parameter sweeps over the region overlap, and the oracle check.
 
 Sweeps recompute the closed forms directly (binomial purity, effective
 inverse temperature) rather than caching kernel output; they are exact
-and fast, and they are what the CLI serializes.
+and fast, and they are what the CLI serializes.  The oracle check runs the
+closed forms and the kernel against the independent two-mode oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .fock import DensityMatrix, ModeSplit, ValidationError, validate_density_matrix
-from .reduction import _binomial_diagonals, beta_prime
+from .fock import _violations, DensityMatrix, FockVector, ModeSplit, ValidationError, validate_density_matrix
+from .oracle import expand_two_mode, partial_trace_numeric, random_fock_vectors
+from .reduction import _binomial_diagonals, beta_prime, reduce_pure_states
 
 __all__ = [
     "SweepResult",
@@ -22,7 +24,12 @@ __all__ = [
     "purity_sweep",
     "thermal_sweep",
     "cat_purity",
+    "RANDOM_STATE_COUNT",
+    "oracle_check",
 ]
+
+# seeded random states of support max_n that oracle_check reduces at every grid point
+RANDOM_STATE_COUNT = 100
 
 
 @dataclass(frozen=True)
@@ -115,3 +122,36 @@ def cat_purity(q0sq: float) -> float:
     """Purity of the reduced equal superposition (|0> + |1>)/sqrt(2): (2 - q0^2 + q0^4)/2."""
     q0sq = ModeSplit(q0sq).q0sq  # checks the range
     return 0.5 * (2.0 - q0sq + q0sq * q0sq)
+
+
+def oracle_check(max_n: int, seed: int, q0sq_grid: Sequence[float]) -> tuple[tuple[str, int, float], ...]:
+    """Rows (check, cases, max_abs_diff): closed forms and kernel against the two-mode oracle.
+
+    Each q0sq expands |0>..|max_n> and the random states in one call, gates the
+    oracle, kernel and zero-padded closed-form stacks once each (the two Gram
+    stacks' PSD gate by the rounding bound of fock._violations) and compares
+    whole stacks.  A stack that fails a gate raises ValidationError.
+    """
+    basis = [FockVector(row) for row in np.eye(max_n + 1, dtype=complex)]
+    randoms = random_fock_vectors(RANDOM_STATE_COUNT, max_n, seed)
+    worst_number = worst_random = 0.0
+    diagonal = np.arange(max_n + 1)
+    closed = np.zeros((max_n + 1, max_n + 1, max_n + 1), dtype=complex)
+    for q0sq in q0sq_grid:
+        split = ModeSplit(q0sq)
+        numeric = partial_trace_numeric(expand_two_mode(basis + randoms, split, max_n))
+        series = reduce_pure_states(randoms, split)
+        closed[:, diagonal, diagonal] = _binomial_diagonals(range(max_n + 1), split)
+        for violations in (
+            _violations(numeric, gram_inner=max_n + 1),
+            _violations(series, gram_inner=max_n + 1),
+            validate_density_matrix(closed),
+        ):
+            if violations:
+                raise ValidationError(f"invalid density matrix: {violations}")
+        worst_number = max(worst_number, float(np.max(np.abs(closed - numeric[: max_n + 1]))))
+        worst_random = max(worst_random, float(np.max(np.abs(series - numeric[max_n + 1 :]))))
+    return (
+        ("number_state_closed_form", len(basis) * len(q0sq_grid), worst_number),
+        ("random_state_series", len(randoms) * len(q0sq_grid), worst_random),
+    )

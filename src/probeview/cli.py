@@ -1,7 +1,9 @@
 """Command-line front end: reductions, sweeps, oracle checks, profile overlap.
 
-Output is deterministic: floats are always rendered with %.17g (exact
-round-trip), mappings keep insertion order, and identical flags yield
+The CLI parses, calls and renders: a command checks its flags' bounds, calls
+the library (reduction.reduce_state, analysis.oracle_check) and renders the
+result.  Output is deterministic: floats are always rendered with %.17g
+(exact round-trip), mappings keep insertion order, and identical flags yield
 byte-identical bytes.  A matrix's elements are formatted once per distinct
 magnitude, with the sign prefixed, since %.17g is sign-symmetric.  The whole
 output is rendered as a list of pieces, about one per matrix, before the
@@ -22,11 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import purity, purity_sweep, thermal_sweep
+from .analysis import RANDOM_STATE_COUNT, oracle_check, purity, purity_sweep, thermal_sweep
 from .fock import (
-    _violations,
     Coherent,
-    DensityMatrix,
     FockVector,
     Mixture,
     ModeSplit,
@@ -39,22 +39,12 @@ from .fock import (
     materialize,
     number_expectation,
     overlap_from_profile,
-    validate_density_matrix,
 )
-from .oracle import expand_two_mode, partial_trace_numeric, random_fock_vectors
-from .reduction import (
-    _binomial_diagonals,
-    reduce_coherent,
-    reduce_mixed,
-    reduce_number_state,
-    reduce_pure_general,
-    reduce_pure_states,
-    reduce_thermal,
-)
+# benchmarks/ reads probeview.cli.reduce_pure_general; cli.py itself calls only reduce_state
+from .reduction import reduce_pure_general, reduce_state
 
 __all__ = ["main"]
 
-_RANDOM_STATE_COUNT = 100
 # far above every grid of the golden entries, the benchmark and the defaults (at most 100 points)
 _MAX_GRID_POINTS = 100_000
 # bytes of oracle-check's two-mode stack: --max-n 24 needs 1.25 MB, and 132 is the largest
@@ -190,9 +180,8 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _check_matrix_bytes(flag: str, value: int, limit: int, what: str) -> None:
-    """Reject a size flag whose 16*(value+1)**2 bytes, named by what, would exceed limit."""
-    implied = 16 * (value + 1) ** 2
+def _check_bytes(flag: str, value: int, implied: int, limit: int, what: str) -> None:
+    """Reject a size flag whose implied bytes, named by what, would exceed limit."""
     if implied > limit:
         raise ValidationError(
             f"{flag} {value} implies {implied} bytes for {what}; the limit is {limit} bytes"
@@ -306,29 +295,6 @@ def _parse_state(text: str, policy: TruncationPolicy) -> StateFamily:
     return _family_from_descriptor(obj, policy)
 
 
-def _reduce_one(family: StateFamily, q0sq: float, policy: TruncationPolicy) -> DensityMatrix:
-    """Route one reduction through the tightest applicable formula."""
-    split = ModeSplit(q0sq)
-    if isinstance(family, Number):
-        materialize(family, policy)  # the cutoff must hold |n>, as for a mixture component
-        return reduce_number_state(family.n, split)
-    if isinstance(family, Coherent):
-        reduced = reduce_coherent(family.alpha, split)
-        coeffs = materialize(reduced, policy).state.coeffs
-        projector = np.outer(coeffs, coeffs.conj())
-        np.fill_diagonal(projector.imag, 0.0)  # c * conj(c) can round to a nonzero imaginary part
-        return DensityMatrix(projector)
-    if isinstance(family, Thermal):
-        return materialize(reduce_thermal(family.beta_energy, split), policy).state
-    if isinstance(family, FockVector):
-        if family.dim > policy.cutoff + 1:
-            family = materialize(family, policy).state
-        return reduce_pure_general(family, split).rho0
-    if isinstance(family, Mixture):
-        return reduce_mixed(family, split).rho0
-    raise ValidationError(f"unknown state family: {family!r}")
-
-
 def _csv_matrix_rows(q0sq: float, elems: np.ndarray) -> str:
     """The q0sq,i,j,re,im rows of one matrix, joined by newlines."""
     q = _fmt_float(q0sq)
@@ -341,14 +307,15 @@ def _cmd_reduce(args: argparse.Namespace):
     grid = _parse_q0sq(args.q0sq)
     # one policy for every materialization of the run, mixture components included
     policy = TruncationPolicy(args.cutoff, tail_tol=_check_tol(args.tol))
-    _check_matrix_bytes("--cutoff", args.cutoff, _MAX_MATRIX_BYTES, "one reduced matrix")
+    implied = 16 * (args.cutoff + 1) ** 2
+    _check_bytes("--cutoff", args.cutoff, implied, _MAX_MATRIX_BYTES, "one reduced matrix")
     if args.alpha is not None:
         family = Coherent(_parse_alpha(args.alpha))
     else:
         family = _parse_state(args.state, policy)
     results = []
     for q0sq in grid:
-        rho = _reduce_one(family, q0sq, policy)
+        rho = reduce_state(family, ModeSplit(q0sq), policy)
         results.append(
             {
                 "q0sq": q0sq,
@@ -387,17 +354,17 @@ def _sweep_payload(command: str, sweep):
     }
     lines = [f"# command = {command}", ",".join(sweep.schema)]
     lines.extend(_csv_row(row) for row in sweep.rows)
-    return payload, lines
+    return payload, lines, 0
 
 
 def _cmd_sweep_purity(args: argparse.Namespace):
     grid = _parse_q0sq(args.q0sq)
     if args.max_n < 1:
         raise ValidationError(f"--max-n must be >= 1, got {args.max_n}")
-    _check_matrix_bytes("--max-n", args.max_n, _MAX_SWEEP_MATRIX_BYTES, "the float arrays of one purity")
+    implied = 16 * (args.max_n + 1) ** 2
+    _check_bytes("--max-n", args.max_n, implied, _MAX_SWEEP_MATRIX_BYTES, "the float arrays of one purity")
     sweep = purity_sweep(range(1, args.max_n + 1), grid)
-    payload, lines = _sweep_payload("sweep-purity", sweep)
-    return payload, lines, 0
+    return _sweep_payload("sweep-purity", sweep)
 
 
 def _cmd_sweep_thermal(args: argparse.Namespace):
@@ -409,22 +376,11 @@ def _cmd_sweep_thermal(args: argparse.Namespace):
     if not all(map(math.isfinite, betae_grid)):
         raise ValidationError("--inv-betae values must have a finite reciprocal (betaE = 1/value)")
     sweep = thermal_sweep(grid, betae_grid)
-    payload, lines = _sweep_payload("sweep-thermal", sweep)
-    return payload, lines, 0
+    return _sweep_payload("sweep-thermal", sweep)
 
 
 def _cmd_oracle_check(args: argparse.Namespace):
-    """Closed form and kernel against the two-mode oracle, one stack per q0sq point.
-
-    Each grid point expands the number basis |0>..|max_n> and the random
-    states in one call, builds the closed forms as one stack zero-padded to
-    max_n+1, runs the gates once on each of the three stacks, and compares
-    whole stacks.  The oracle and kernel stacks are Gram products with
-    max_n+1 inner terms, so their PSD gate is decided by the rounding bound
-    of fock._violations; the closed forms get the full gate.  A --max-n
-    whose two-mode stack would exceed _MAX_ORACLE_BYTES is rejected before
-    anything is allocated.
-    """
+    """analysis.oracle_check; a --max-n past _MAX_ORACLE_BYTES is rejected before it runs."""
     grid = _parse_q0sq(args.q0sq)
     tol = _check_tol(args.tol)
     max_n, seed = args.max_n, args.seed
@@ -432,49 +388,17 @@ def _cmd_oracle_check(args: argparse.Namespace):
         raise ValidationError(f"--max-n must be >= 1, got {max_n}")
     if seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {seed}")
-    implied = 16 * (max_n + 1 + _RANDOM_STATE_COUNT) * (max_n + 1) ** 2
-    if implied > _MAX_ORACLE_BYTES:
-        raise ValidationError(
-            f"--max-n {max_n} implies {implied} bytes for the two-mode expansion; "
-            f"the limit is {_MAX_ORACLE_BYTES} bytes"
-        )
-    basis = [FockVector(row) for row in np.eye(max_n + 1, dtype=complex)]
-    randoms = random_fock_vectors(_RANDOM_STATE_COUNT, max_n, seed)
-    worst_number = 0.0
-    worst_random = 0.0
-    diagonal = np.arange(max_n + 1)
-    closed = np.zeros((max_n + 1, max_n + 1, max_n + 1), dtype=complex)
-    for q0sq in grid:
-        split = ModeSplit(q0sq)
-        numeric = partial_trace_numeric(expand_two_mode(basis + randoms, split, max_n))
-        series = reduce_pure_states(randoms, split)
-        closed[:, diagonal, diagonal] = _binomial_diagonals(range(max_n + 1), split)
-        for violations in (
-            _violations(numeric, gram_inner=max_n + 1),
-            _violations(series, gram_inner=max_n + 1),
-            validate_density_matrix(closed),
-        ):
-            if violations:
-                raise ValidationError(f"invalid density matrix: {violations}")
-        worst_number = max(worst_number, float(np.max(np.abs(closed - numeric[: max_n + 1]))))
-        worst_random = max(worst_random, float(np.max(np.abs(series - numeric[max_n + 1 :]))))
-    cases_number = len(basis) * len(grid)
-    cases_random = len(randoms) * len(grid)
-    disagrees = worst_number > tol or worst_random > tol
+    implied = 16 * (max_n + 1 + RANDOM_STATE_COUNT) * (max_n + 1) ** 2
+    _check_bytes("--max-n", max_n, implied, _MAX_ORACLE_BYTES, "the two-mode expansion")
+    rows = oracle_check(max_n, seed, grid)
+    disagrees = any(max_abs_diff > tol for _, _, max_abs_diff in rows)
     status = "disagreement" if disagrees else "ok"
     payload = {
         "command": "oracle-check",
         "max_n": max_n,
         "seed": seed,
         "tolerance": tol,
-        "checks": [
-            {
-                "name": "number_state_closed_form",
-                "cases": cases_number,
-                "max_abs_diff": worst_number,
-            },
-            {"name": "random_state_series", "cases": cases_random, "max_abs_diff": worst_random},
-        ],
+        "checks": [{"name": name, "cases": cases, "max_abs_diff": diff} for name, cases, diff in rows],
         "status": status,
     }
     lines = [
@@ -484,9 +408,8 @@ def _cmd_oracle_check(args: argparse.Namespace):
         f"# tolerance = {_fmt_float(tol)}",
         f"# status = {status}",
         "check,cases,max_abs_diff",
-        _csv_row(("number_state_closed_form", cases_number, worst_number)),
-        _csv_row(("random_state_series", cases_random, worst_random)),
     ]
+    lines.extend(_csv_row(row) for row in rows)
     return payload, lines, 3 if disagrees else 0
 
 

@@ -515,13 +515,17 @@ def overlap_from_profile(
         raise ValidationError(f"region must be an interval (a, b) with a <= b, got {region!r}")
     if xs.size == 1:
         raise ValidationError("at least two samples are needed for quadrature")
+    if not np.any(ws):  # decided here: zeros 2e308 apart would give the quadrature inf * 0 = NaN
+        if np.any(arr[:, 1]):
+            raise ValidationError("profile values too small: their squared magnitudes underflow to 0")
+        raise ValidationError("profile has zero norm over the sampled range")
     # an overflowing quadrature gives inf, or NaN from inf - inf, which the check names
     with np.errstate(over="ignore", invalid="ignore"):
         total = _piecewise_linear_integral(xs, ws, xs[0], xs[-1])
     if not math.isfinite(total):
         raise ValidationError("profile norm overflows: the integral of |value|^2 exceeds the largest float")
-    if total <= 0.0:
-        raise ValidationError("profile has zero norm over the sampled range")
+    if total <= 0.0:  # some |value|^2 > 0, so only the products with the steps underflowed
+        raise ValidationError("profile norm underflows: the integral of |value|^2 rounds to 0")
     lo, hi = max(a, float(xs[0])), min(b, float(xs[-1]))
     if lo >= hi:
         return 0.0

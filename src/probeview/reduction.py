@@ -35,8 +35,12 @@ from .fock import (
     FockVector,
     Mixture,
     ModeSplit,
+    Number,
+    StateFamily,
     Thermal,
+    TruncationPolicy,
     ValidationError,
+    materialize,
 )
 
 __all__ = [
@@ -49,6 +53,7 @@ __all__ = [
     "reduce_coherent",
     "beta_prime",
     "reduce_thermal",
+    "reduce_state",
 ]
 
 # float(comb(n, n//2)) overflows a little above n = 1029
@@ -302,3 +307,28 @@ def reduce_thermal(beta_energy: float, split: ModeSplit) -> Thermal:
     At q0 = 0, beta'E = +inf and the result is the vacuum.
     """
     return Thermal(beta_prime(beta_energy, split.q0sq))
+
+
+def reduce_state(family: StateFamily, split: ModeSplit, policy: TruncationPolicy) -> DensityMatrix:
+    """Reduced state of any family at one split, by the tightest applicable route.
+
+    Number, coherent and thermal inputs take their closed forms under ``policy``; custom
+    states (cut to cutoff + 1 amplitudes first) and mixtures take the general kernel.
+    """
+    if isinstance(family, Number):
+        materialize(family, policy)  # the cutoff must hold |n>, as for a mixture component
+        return reduce_number_state(family.n, split)
+    if isinstance(family, Coherent):
+        coeffs = materialize(reduce_coherent(family.alpha, split), policy).state.coeffs
+        projector = np.outer(coeffs, coeffs.conj())
+        np.fill_diagonal(projector.imag, 0.0)  # c * conj(c) can round to a nonzero imaginary part
+        return DensityMatrix(projector)
+    if isinstance(family, Thermal):
+        return materialize(reduce_thermal(family.beta_energy, split), policy).state
+    if isinstance(family, FockVector):
+        if family.dim > policy.cutoff + 1:
+            family = materialize(family, policy).state
+        return reduce_pure_general(family, split).rho0
+    if isinstance(family, Mixture):
+        return reduce_mixed(family, split).rho0
+    raise ValidationError(f"unknown state family: {family!r}")

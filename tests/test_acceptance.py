@@ -60,7 +60,7 @@ def test_criterion_1_binomial_reduction_agreement():
         worst = 0.0
         for n in range(9):
             for q0sq in ELEVEN_GRID:
-                split = ModeSplit.from_q0sq(float(q0sq))
+                split = ModeSplit(float(q0sq))
                 closed = reduce_number_state(n, split).elems
                 series = reduce_pure_general(number_vector(n), split).rho0.elems
                 numeric = partial_trace_numeric(
@@ -107,7 +107,7 @@ def test_criterion_3_coherent_states_stay_coherent():
                 alpha = magnitude * phase
                 psi = materialize(Coherent(alpha), TruncationPolicy(cutoff)).state
                 for q0sq in (0.25, 0.5, 0.75):
-                    split = ModeSplit.from_q0sq(q0sq)
+                    split = ModeSplit(q0sq)
                     rho = reduce_pure_general(psi, split).rho0
                     target = materialize(
                         reduce_coherent(alpha, split), TruncationPolicy(cutoff)
@@ -131,7 +131,7 @@ def test_criterion_4_thermal_temperature_map():
             assert thermal.discarded_mass < 1e-12
             weights = thermal.state.diagonal()
             for q0sq in (0.25, 0.5, 1.0):
-                split = ModeSplit.from_q0sq(q0sq)
+                split = ModeSplit(q0sq)
                 diag = np.zeros(support + 1)
                 for n in range(support + 1):
                     reduced = partial_trace_numeric(
@@ -153,7 +153,7 @@ def test_criterion_4_thermal_temperature_map():
 
 def test_criterion_5_equal_superposition_reduction():
     with criterion(5, "two-level superposition matrix and purity curve"):
-        report = reduce_pure_general(cat_vector(), ModeSplit.from_q0sq(0.5))
+        report = reduce_pure_general(cat_vector(), ModeSplit(0.5))
         rho = report.rho0.elems
         assert abs(rho[0, 0] - 0.75) <= 1e-12
         assert abs(rho[1, 1] - 0.25) <= 1e-12
@@ -161,7 +161,7 @@ def test_criterion_5_equal_superposition_reduction():
         assert abs(purity(report.rho0) - 0.875) <= 1e-12
         for q0sq in TWENTYONE_GRID:
             q0sq = float(q0sq)
-            numeric = purity(reduce_pure_general(cat_vector(), ModeSplit.from_q0sq(q0sq)).rho0)
+            numeric = purity(reduce_pure_general(cat_vector(), ModeSplit(q0sq)).rho0)
             closed = 0.5 * (2.0 - q0sq + q0sq * q0sq)
             assert abs(numeric - closed) <= 1e-12
 
@@ -199,7 +199,7 @@ def test_criterion_6_reduction_composes():
 
 def test_criterion_7_mean_occupation_scaling():
     with criterion(7, "mean occupation scales by the overlap"):
-        splits = [ModeSplit.from_q0sq(q) for q in (0.25, 0.5, 0.75)]
+        splits = [ModeSplit(q) for q in (0.25, 0.5, 0.75)]
         pure_states = [number_vector(n) for n in range(9)]
         pure_states.append(cat_vector())
         pure_states.extend(random_fock_vectors(50, 6, seed=20240516))

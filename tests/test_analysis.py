@@ -35,11 +35,11 @@ class TestPurity:
     )
     def test_reduced_number_state_central_value(self, n, expected):
         # C(2n, n) / 4^n exactly, at the balanced split
-        rho = reduce_number_state(n, ModeSplit.from_q0sq(0.5))
+        rho = reduce_number_state(n, ModeSplit(0.5))
         assert purity(rho) == pytest.approx(expected, abs=1e-12)
 
     def test_padding_invariant(self):
-        rho = reduce_number_state(2, ModeSplit.from_q0sq(0.3))
+        rho = reduce_number_state(2, ModeSplit(0.3))
         assert purity(pad_matrix(rho.elems, 9)) == pytest.approx(purity(rho), abs=1e-15)
 
     def test_rejects_invalid_matrix(self):
@@ -204,7 +204,7 @@ class TestCatPurity:
     def test_matches_series_purity(self, q0sq):
         from probeview import reduce_pure_general
 
-        numeric = purity(reduce_pure_general(cat_vector(), ModeSplit.from_q0sq(q0sq)).rho0)
+        numeric = purity(reduce_pure_general(cat_vector(), ModeSplit(q0sq)).rho0)
         assert cat_purity(q0sq) == pytest.approx(numeric, abs=1e-10)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import probeview.cli
 from helpers import per_element_fmt
-from probeview import Coherent, TruncationPolicy, ValidationError
+from probeview import Coherent, ModeSplit, TruncationPolicy, ValidationError, reduce_state
 from probeview.cli import (
     _MAX_GRID_POINTS,
     _MAX_MATRIX_BYTES,
@@ -21,7 +21,6 @@ from probeview.cli import (
     _fmt_float,
     _fmt_floats,
     _parse_grid,
-    _reduce_one,
     main,
 )
 
@@ -368,9 +367,9 @@ class TestOracleCheckCommand:
         assert random_check["cases"] == 100
 
     def test_one_kernel_matrix_off_by_1e9_exits_three(self, capsys, monkeypatch):
-        import probeview.cli
+        import probeview.analysis
 
-        kernel = probeview.cli.reduce_pure_states
+        kernel = probeview.analysis.reduce_pure_states
 
         def off_by_1e9(states, split):
             stacked = kernel(states, split)
@@ -380,7 +379,7 @@ class TestOracleCheckCommand:
             stacked[37, 1, 0] += 1e-9
             return stacked
 
-        monkeypatch.setattr(probeview.cli, "reduce_pure_states", off_by_1e9)
+        monkeypatch.setattr(probeview.analysis, "reduce_pure_states", off_by_1e9)
         code, out = run_cli(
             capsys, "oracle-check", "--max-n", "3", "--q0sq", "0.3:0.7:0.2", "--format", "json"
         )
@@ -392,16 +391,16 @@ class TestOracleCheckCommand:
         assert random_check["max_abs_diff"] == pytest.approx(1e-9, rel=1e-6)
 
     def test_invalid_kernel_matrix_exits_two(self, capsys, monkeypatch):
-        import probeview.cli
+        import probeview.analysis
 
-        kernel = probeview.cli.reduce_pure_states
+        kernel = probeview.analysis.reduce_pure_states
 
         def trace_off(states, split):
             stacked = kernel(states, split)
             stacked[99, 2, 2] += 1e-9
             return stacked
 
-        monkeypatch.setattr(probeview.cli, "reduce_pure_states", trace_off)
+        monkeypatch.setattr(probeview.analysis, "reduce_pure_states", trace_off)
         code = main(["oracle-check", "--max-n", "3", "--q0sq", "0.5"])
         assert code == 2
         assert "invalid density matrix" in capsys.readouterr().err
@@ -755,7 +754,7 @@ class TestBatchFormatter:
     def test_exactly_hermitian_reduced_matrix(self, alpha):
         # a real or imaginary amplitude makes c_i conj(c_j) exact, so the matrix is exactly
         # Hermitian: every off-diagonal magnitude repeats, and some of its zeros are -0.0
-        elems = _reduce_one(Coherent(alpha), 0.6, TruncationPolicy(32)).elems
+        elems = reduce_state(Coherent(alpha), ModeSplit(0.6), TruncationPolicy(32)).elems
         assert np.array_equal(elems, elems.conj().T)
         cells = np.stack([elems.real, elems.imag], axis=-1)
         assert np.unique(np.abs(cells)).size <= cells.size // 2
@@ -765,7 +764,7 @@ class TestBatchFormatter:
     def test_three_dimensional_stack(self):
         policy = TruncationPolicy(24)
         stack = np.stack(
-            [_reduce_one(Coherent(1.2 + 0.4j), q0sq, policy).elems for q0sq in (0.0, 0.3, 1.0)]
+            [reduce_state(Coherent(1.2 + 0.4j), ModeSplit(q0sq), policy).elems for q0sq in (0.0, 0.3, 1.0)]
         )
         for part in (stack.real, stack.imag):
             assert _fmt_floats(part) == per_element_fmt(part)

@@ -31,9 +31,10 @@ from probeview import (
     reduce_number_state,
     reduce_pure_general,
     reduce_pure_states,
+    reduce_state,
     validate_density_matrix,
 )
-from probeview.cli import _family_from_descriptor, _reduce_one, main
+from probeview.cli import _family_from_descriptor, main
 from probeview.fock import PSD_TOL, _gram_psd_bound, _violations
 
 
@@ -258,14 +259,14 @@ class TestPsdGate:
             assert violations["positive_semidefinite"] == pytest.approx(-PSD_TOL - 1e-12, abs=1e-15)
 
     def test_rank_deficient_states_pass(self):
-        number = reduce_number_state(5, ModeSplit.from_q0sq(1.0))
-        number_kernel = reduce_pure_general(number_vector(5), ModeSplit.from_q0sq(1.0)).rho0
+        number = reduce_number_state(5, ModeSplit(1.0))
+        number_kernel = reduce_pure_general(number_vector(5), ModeSplit(1.0)).rho0
         policy = TruncationPolicy(128, tail_tol=1e-10)
-        coherent = _reduce_one(Coherent(complex(3.0, 1.5)), 0.5, policy)
+        coherent = reduce_state(Coherent(complex(3.0, 1.5)), ModeSplit(0.5), policy)
         rng = np.random.default_rng(11)
         raw = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         psi = FockVector(raw / np.linalg.norm(raw))
-        kernel = reduce_pure_general(psi, ModeSplit.from_q0sq(1e-6)).rho0
+        kernel = reduce_pure_general(psi, ModeSplit(1e-6)).rho0
         for rho in (number, number_kernel, coherent, kernel):
             assert validate_density_matrix(rho.elems) == []
 
@@ -331,7 +332,7 @@ _CERTIFICATE_Q0SQ = [0.0, 1e-300, 1e-6, 0.5, 1.0 - 1e-6, 1.0]
 def _gram_stacks(support: int, q0sq: float):
     """The kernel and oracle stacks of three random states of the given support."""
     states = random_fock_vectors(3, support - 1, seed=support)
-    split = ModeSplit.from_q0sq(q0sq)
+    split = ModeSplit(q0sq)
     numeric = partial_trace_numeric(expand_two_mode(states, split, max(support - 1, 1)))
     return reduce_pure_states(states, split), numeric
 
@@ -364,7 +365,7 @@ class TestGramCertificate:
     @pytest.mark.parametrize("q0sq", _CERTIFICATE_Q0SQ)
     def test_full_gate_passes_the_kernel_at_1024(self, q0sq):
         states = random_fock_vectors(1, 1024, seed=17)
-        stack = reduce_pure_states(states, ModeSplit.from_q0sq(q0sq))
+        stack = reduce_pure_states(states, ModeSplit(q0sq))
         assert validate_density_matrix(stack) == []
         assert _violations(stack, gram_inner=1025) == []
 
@@ -640,6 +641,12 @@ class TestOverlapFromProfile:
             ([(0.0, 1e-200), (1e300, 1e150)], "norm overflows"),
             # the positions' step, 2e308, overflows to inf; they still increase
             ([(-1e308, 1.0), (1e308, 1.0)], "norm overflows"),
+            # nonzero values whose squares underflow to 0
+            ([(0.0, 5e-324), (1.0, 5e-324)], "squared magnitudes underflow to 0"),
+            # zeros under an infinite step: the quadrature would form inf * 0
+            ([(-1e308, 0.0), (1e308, 0.0)], "zero norm"),
+            # |value|^2 is 5e-324, but its product with the 5e-324 step underflows
+            ([(0.0, 2e-162), (5e-324, 2e-162)], "norm underflows"),
         ],
     )
     def test_finite_but_overflowing_profile_names_the_cause(self, samples, cause):

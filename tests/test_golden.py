@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from probeview.cli import main
+from probeview import oracle_check
+from probeview.cli import _parse_q0sq, main
 
 MANIFEST = Path(__file__).with_name("golden_sha256.json")
 PROFILE_NAME = "mode.txt"
@@ -114,6 +115,17 @@ def test_manifest_covers_every_case(manifest):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_match_golden(workdir, manifest, name, fmt):
     assert _digest(_output_bytes(name, fmt, workdir)) == manifest[f"{name}.{fmt}"]
+
+
+@pytest.mark.parametrize("name", ["oracle-check", "oracle-check-max-n-12"])
+def test_oracle_check_rows_match_golden_checks(workdir, manifest, name):
+    data = _output_bytes(name, "json", workdir)
+    assert _digest(data) == manifest[f"{name}.json"]
+    payload = json.loads(data)  # %.17g round-trips, so equal floats have equal bits
+    argv = CASES[name]
+    q0sq = argv[argv.index("--q0sq") + 1] if "--q0sq" in argv else "0:1:0.1"  # the CLI default
+    rows = oracle_check(payload["max_n"], payload["seed"], _parse_q0sq(q0sq))
+    assert rows == tuple((c["name"], c["cases"], c["max_abs_diff"]) for c in payload["checks"])
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from helpers import per_element_fmt
-from probeview import Coherent, TruncationPolicy, number_expectation, purity
-from probeview.cli import _parse_q0sq, _reduce_one, main
+from probeview import Coherent, ModeSplit, TruncationPolicy, number_expectation, purity, reduce_state
+from probeview.cli import _parse_q0sq, main
 
 ALPHA = 1.2 + 0.4j
 GRID = "0:1:0.1"
@@ -77,7 +77,7 @@ def reference():
     policy = TruncationPolicy(CUTOFF)
     results = []
     for q0sq in _parse_q0sq(GRID):
-        rho = _reduce_one(Coherent(ALPHA), q0sq, policy)
+        rho = reduce_state(Coherent(ALPHA), ModeSplit(q0sq), policy)
         results.append(
             {
                 "q0sq": q0sq,

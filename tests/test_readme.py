@@ -18,6 +18,8 @@ def _blocks(language: str) -> list[str]:
 def test_python_examples_run():
     blocks = _blocks("python")
     assert blocks
+    # the quick tour shows the two entry points the CLI's reduce and oracle-check call
+    assert all(any(f"{name}(" in block for block in blocks) for name in ("reduce_state", "oracle_check"))
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)

@@ -15,7 +15,9 @@ from probeview import (
     FockVector,
     Mixture,
     ModeSplit,
+    Number,
     Thermal,
+    TruncationError,
     TruncationPolicy,
     ValidationError,
     beta_prime,
@@ -30,6 +32,7 @@ from probeview import (
     reduce_number_state,
     reduce_pure_general,
     reduce_pure_states,
+    reduce_state,
     reduce_thermal,
     validate_density_matrix,
 )
@@ -529,6 +532,66 @@ class TestReduceThermal:
         assert number_expectation(reduced) == pytest.approx(
             q0sq * number_expectation(original), abs=1e-9
         )
+
+
+class TestReduceState:
+    """reduce_state against the route it takes for each family, bit for bit."""
+
+    POLICY = TruncationPolicy(24)
+
+    @pytest.mark.parametrize("q0sq", [0.0, 0.3, 1.0])
+    def test_number_takes_the_binomial_closed_form(self, q0sq):
+        split = ModeSplit(q0sq)
+        rho = reduce_state(Number(3), split, self.POLICY)
+        assert np.array_equal(rho.elems, reduce_number_state(3, split).elems)
+
+    def test_number_past_the_cutoff_raises(self):
+        with pytest.raises(TruncationError):
+            reduce_state(Number(25), ModeSplit(0.5), self.POLICY)
+
+    @pytest.mark.parametrize("q0sq", [0.0, 0.3, 1.0])
+    def test_coherent_is_the_projector_on_the_reduced_amplitude(self, q0sq):
+        split = ModeSplit(q0sq)
+        elems = reduce_state(Coherent(1.2 + 0.4j), split, self.POLICY).elems
+        coeffs = materialize(reduce_coherent(1.2 + 0.4j, split), self.POLICY).state.coeffs
+        projector = np.outer(coeffs, coeffs.conj())
+        off_diagonal = ~np.eye(coeffs.size, dtype=bool)
+        assert np.array_equal(elems[off_diagonal], projector[off_diagonal])
+        # the diagonal keeps its real part; its imaginary rounding noise is dropped
+        assert np.array_equal(np.diagonal(elems), np.diagonal(projector).real)
+
+    @pytest.mark.parametrize("q0sq", [0.0, 0.3, 1.0])
+    def test_thermal_takes_its_closed_form(self, q0sq):
+        split = ModeSplit(q0sq)
+        rho = reduce_state(Thermal(2.0), split, self.POLICY)
+        expected = materialize(reduce_thermal(2.0, split), self.POLICY).state
+        assert np.array_equal(rho.elems, expected.elems)
+
+    @pytest.mark.parametrize("q0sq", [0.0, 0.3, 1.0])
+    def test_custom_and_mixture_take_the_kernel(self, q0sq):
+        split = ModeSplit(q0sq)
+        psi = _seeded_state(5, 17)
+        rho = reduce_state(psi, split, self.POLICY)
+        assert np.array_equal(rho.elems, reduce_pure_general(psi, split).rho0.elems)
+        mix = Mixture((0.25, 0.75), (number_vector(2), psi))
+        rho = reduce_state(mix, split, self.POLICY)
+        assert np.array_equal(rho.elems, reduce_mixed(mix, split).rho0.elems)
+
+    def test_custom_longer_than_the_cutoff_is_cut_first(self):
+        split = ModeSplit(0.3)
+        policy = TruncationPolicy(2)
+        psi = FockVector(np.array([0.6, 0.8j, 0.0, 0.0, 0.0, 0.0]))
+        rho = reduce_state(psi, split, policy)
+        assert rho.dim == 3
+        cut = materialize(psi, policy).state
+        assert np.array_equal(rho.elems, reduce_pure_general(cut, split).rho0.elems)
+        with pytest.raises(TruncationError):
+            reduce_state(FockVector(np.array([0.6, 0.0, 0.0, 0.8])), split, policy)
+
+    @pytest.mark.parametrize("family", ["number", 3, None])
+    def test_unknown_family_raises(self, family):
+        with pytest.raises(ValidationError, match="unknown state family"):
+            reduce_state(family, ModeSplit(0.5), self.POLICY)
 
 
 class TestChannelComposition:
