@@ -130,8 +130,13 @@ def oracle_check(max_n: int, seed: int, q0sq_grid: Sequence[float]) -> tuple[tup
     Each q0sq expands |0>..|max_n> and the random states in one call, gates the
     oracle, kernel and zero-padded closed-form stacks once each (the two Gram
     stacks' PSD gate by the rounding bound of fock._violations) and compares
-    whole stacks.  A stack that fails a gate raises ValidationError.
+    whole stacks.  A stack that fails a gate raises ValidationError, as do a
+    max_n below 1 and an empty grid, which would check nothing.
     """
+    if isinstance(max_n, bool) or not isinstance(max_n, (int, np.integer)) or max_n < 1:
+        raise ValidationError(f"max_n must be an integer >= 1, got {max_n!r}")
+    if len(q0sq_grid) == 0:
+        raise ValidationError("q0sq_grid is empty, so oracle_check would check nothing")
     basis = [FockVector(row) for row in np.eye(max_n + 1, dtype=complex)]
     randoms = random_fock_vectors(RANDOM_STATE_COUNT, max_n, seed)
     worst_number = worst_random = 0.0

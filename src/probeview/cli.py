@@ -5,9 +5,10 @@ the library (reduction.reduce_state, analysis.oracle_check) and renders the
 result.  Output is deterministic: floats are always rendered with %.17g
 (exact round-trip), mappings keep insertion order, and identical flags yield
 byte-identical bytes.  A matrix's elements are formatted once per distinct
-magnitude, with the sign prefixed, since %.17g is sign-symmetric.  The whole
-output is rendered as a list of pieces, about one per matrix, before the
-output is opened; the pieces are then written one by one, never joined into
+magnitude, with the sign prefixed, since %.17g is sign-symmetric.  A command
+computes and checks every result before the output is opened, so a failed
+run writes nothing; main then renders only the requested format and writes
+each piece, about one per matrix, as it is rendered, never joining them into
 one string.  Exit codes: 0 success, 2 validation error, 3 oracle
 disagreement, 4 file I/O error.
 """
@@ -15,12 +16,13 @@ disagreement, 4 file I/O error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -110,20 +112,20 @@ def _render_matrix(elems: np.ndarray, indent: int) -> str:
     return ("[\n" + ",\n".join([row] * rows) + "\n" + pad + "]") % _complex_cells(elems)
 
 
-def _render_json(value, pieces: list[str], indent: int = 0) -> None:
-    """Append deterministic pretty JSON with %.17g floats to pieces; no external state.
+def _render_json(value, indent: int = 0) -> Iterator[str]:
+    """Yield deterministic pretty JSON with %.17g floats; no external state.
 
     A matrix is one piece, its elements formatted once per distinct
     magnitude; the brackets, keys and separators around it are small pieces
-    of their own, so no piece holds the whole document.  main writes the
-    pieces only after the whole document is rendered.
+    of their own, so no piece holds the whole document, and main writes each
+    piece before the next is rendered.
     """
     if isinstance(value, np.ndarray):
-        pieces.append(_render_matrix(value, indent))
+        yield _render_matrix(value, indent)
         return
     scalar = _json_scalar(value)
     if scalar is not None:
-        pieces.append(scalar)
+        yield scalar
         return
     if isinstance(value, dict):
         keys = [json.dumps(str(k)) + ": " for k in value]
@@ -132,21 +134,21 @@ def _render_json(value, pieces: list[str], indent: int = 0) -> None:
         inline = len(items) <= 4
     elif isinstance(value, (list, tuple)):
         keys = [""] * len(value)
-        items = list(value)
+        items = value
         opening, closing = "[", "]"
         inline = True
     else:
         raise ValidationError(f"cannot serialize {type(value).__name__}")
     scalars = [_json_scalar(v) for v in items]
     if inline and None not in scalars:
-        pieces.append(opening + ", ".join(k + v for k, v in zip(keys, scalars)) + closing)
+        yield opening + ", ".join(k + v for k, v in zip(keys, scalars)) + closing
         return
     inner = " " * (indent + 2)
-    pieces.append(opening)
+    yield opening
     for position, (key, item) in enumerate(zip(keys, items)):
-        pieces.append((",\n" if position else "\n") + inner + key)
-        _render_json(item, pieces, indent + 2)
-    pieces.append("\n" + " " * indent + closing)
+        yield (",\n" if position else "\n") + inner + key
+        yield from _render_json(item, indent + 2)
+    yield "\n" + " " * indent + closing
 
 
 def _csv_row(values) -> str:
@@ -325,36 +327,32 @@ def _cmd_reduce(args: argparse.Namespace):
                 "mean_occupation": number_expectation(rho),
             }
         )
-    if args.format == "json":
-        payload = {"command": "reduce", "cutoff": args.cutoff}
-        if len(results) == 1:
-            payload.update(results[0])
-        else:
-            payload["results"] = results
-        return payload, None, 0
-    lines = [f"# command = reduce", f"# cutoff = {args.cutoff}", "q0sq,i,j,re,im"]
-    lines.extend(_csv_matrix_rows(entry["q0sq"], entry["rho0"]) for entry in results)
+    payload = {"command": "reduce", "cutoff": args.cutoff}
+    if len(results) == 1:
+        payload.update(results[0])
+    else:
+        payload["results"] = results
+    return payload, _reduce_csv_lines(args.cutoff, results), 0
+
+
+def _reduce_csv_lines(cutoff: int, results: list[dict]) -> Iterator[str]:
+    """reduce's CSV: the header, every point's matrix rows as one line source each, the summaries."""
+    yield from ("# command = reduce", f"# cutoff = {cutoff}", "q0sq,i,j,re,im")
     for entry in results:
-        lines.append(
-            "# q0sq = {} dim = {} purity = {} mean_occupation = {}".format(
-                _fmt_float(entry["q0sq"]),
-                entry["dim"],
-                _fmt_float(entry["purity"]),
-                _fmt_float(entry["mean_occupation"]),
-            )
+        yield _csv_matrix_rows(entry["q0sq"], entry["rho0"])
+    for entry in results:
+        yield "# q0sq = {} dim = {} purity = {} mean_occupation = {}".format(
+            _fmt_float(entry["q0sq"]),
+            entry["dim"],
+            _fmt_float(entry["purity"]),
+            _fmt_float(entry["mean_occupation"]),
         )
-    return None, lines, 0
 
 
 def _sweep_payload(command: str, sweep):
-    payload = {
-        "command": command,
-        "schema": list(sweep.schema),
-        "rows": [list(row) for row in sweep.rows],
-    }
-    lines = [f"# command = {command}", ",".join(sweep.schema)]
-    lines.extend(_csv_row(row) for row in sweep.rows)
-    return payload, lines, 0
+    payload = {"command": command, "schema": sweep.schema, "rows": sweep.rows}
+    header = (f"# command = {command}", ",".join(sweep.schema))
+    return payload, itertools.chain(header, map(_csv_row, sweep.rows)), 0
 
 
 def _cmd_sweep_purity(args: argparse.Namespace):
@@ -401,16 +399,15 @@ def _cmd_oracle_check(args: argparse.Namespace):
         "checks": [{"name": name, "cases": cases, "max_abs_diff": diff} for name, cases, diff in rows],
         "status": status,
     }
-    lines = [
+    header = (
         "# command = oracle-check",
         f"# max_n = {max_n}",
         f"# seed = {seed}",
         f"# tolerance = {_fmt_float(tol)}",
         f"# status = {status}",
         "check,cases,max_abs_diff",
-    ]
-    lines.extend(_csv_row(row) for row in rows)
-    return payload, lines, 3 if disagrees else 0
+    )
+    return payload, itertools.chain(header, map(_csv_row, rows)), 3 if disagrees else 0
 
 
 def _cmd_profile_overlap(args: argparse.Namespace):
@@ -505,27 +502,20 @@ _COMMANDS = {
 }
 
 
-def _write_output(pieces: list[str], path: str) -> None:
-    """Write the rendered pieces in order, each encoded on its own."""
-    if path == "-":
-        sys.stdout.writelines(pieces)
-    else:
-        with open(path, "w", newline="") as handle:
-            handle.writelines(pieces)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # (JSON payload, CSV lines, exit code); reduce builds only the one its format needs
+        # (JSON payload, CSV line source, exit code): every result is computed and checked here
         payload, csv_lines, code = _COMMANDS[args.command](args)
         if args.format == "json":
-            pieces: list[str] = []
-            _render_json(payload, pieces)
-            pieces.append("\n")
+            pieces = itertools.chain(_render_json(payload), ("\n",))
         else:
-            pieces = [piece for line in csv_lines for piece in (line, "\n")]
-        _write_output(pieces, args.out)
+            pieces = (piece for line in csv_lines for piece in (line, "\n"))
+        if args.out == "-":
+            sys.stdout.writelines(pieces)
+        else:
+            with open(args.out, "w", newline="") as handle:
+                handle.writelines(pieces)
     except (ValidationError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -231,6 +231,8 @@ def random_fock_vectors(count: int, max_support: int, seed: int) -> list[FockVec
     """
     if count < 1 or max_support < 0:
         raise ValidationError("need count >= 1 and max_support >= 0")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     # one draw in the order of a real and an imaginary draw per state
     draws = np.random.default_rng(seed).standard_normal((count, 2, max_support + 1))
     raw = draws[:, 0] + 1j * draws[:, 1]

@@ -14,6 +14,7 @@ from probeview import (
     SweepResult,
     ValidationError,
     cat_purity,
+    oracle_check,
     purity,
     purity_sweep,
     reduce_number_state,
@@ -228,3 +229,19 @@ class TestSweepResult:
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValidationError):
             SweepResult(((0.0, 1.0), (1.0,)), ("x", "y"))
+
+
+class TestOracleCheck:
+    def test_empty_grid_is_refused(self):
+        # zero cases and max_abs_diff 0.0 would read as agreement
+        with pytest.raises(ValidationError, match="q0sq_grid"):
+            oracle_check(2, 0, [])
+
+    @pytest.mark.parametrize("max_n", [0, -1, 1.5, True])
+    def test_invalid_max_n_names_max_n(self, max_n):
+        with pytest.raises(ValidationError, match="max_n"):
+            oracle_check(max_n, 0, [0.5])
+
+    def test_negative_seed_names_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            oracle_check(2, -1, [0.5])

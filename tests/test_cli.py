@@ -663,6 +663,24 @@ class TestValidationExits:
         code, _ = run_cli(capsys, "profile-overlap", "--profile", f"{tmp_path}/nowhere.txt")
         assert code == 4
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_late_failure_writes_nothing(self, capsys, tmp_path, fmt):
+        # q0sq 0 reduces to the vacuum; q0sq 1 keeps |alpha|^2 = 100, far past cutoff 8
+        first, argv = (
+            ["reduce", "--alpha", "10", "--q0sq", grid, "--cutoff", "8", "--format", fmt]
+            for grid in ("0", "0:1:1")
+        )
+        assert run_cli(capsys, *first)[0] == 0
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        out = tmp_path / "earlier.txt"
+        out.write_bytes(b"earlier output\n")
+        assert main([*argv, "--out", str(out)]) == 2
+        assert out.read_bytes() == b"earlier output\n"
+
     def test_unwritable_out_exits_four(self, capsys, tmp_path):
         code, _ = run_cli(
             capsys,

@@ -5,7 +5,9 @@ Hermitian matrices, about 12 MB in either format, where most magnitudes
 repeat.  The reference below formats every element on its own and joins
 the whole document into one string, as the CLI once did; the CLI must
 write the same bytes to a file and to standard output, and its traced
-peak allocation must stay below twice the size of what it writes.
+peak allocation must stay below twice the size of what it writes.  Each
+point's text is written as it is rendered, so ten more grid points may add
+only the ten matrices the run keeps until it writes, not their text.
 """
 
 import json
@@ -94,18 +96,24 @@ def reference():
     }
 
 
+def _traced_peak(argv) -> int:
+    """The traced peak allocation of one successful ``main`` call, in bytes."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
 @pytest.fixture(scope="module", params=FORMATS)
 def traced_file_run(request, tmp_path_factory):
     """One traced ``main`` call writing to a file: (format, bytes, traced peak)."""
     fmt = request.param
     out = tmp_path_factory.mktemp("large") / f"out.{fmt}"
-    tracemalloc.start()
-    try:
-        code = main([*ARGV, "--format", fmt, "--out", str(out)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0
+    peak = _traced_peak([*ARGV, "--format", fmt, "--out", str(out)])
     return fmt, out.read_bytes(), peak
 
 
@@ -129,3 +137,12 @@ def test_reference_csv_line_count(reference):
 def test_traced_peak_below_twice_the_output(traced_file_run):
     _, data, peak = traced_file_run
     assert peak < PEAK_TO_OUTPUT_LIMIT * len(data), f"peak {peak} B for {len(data)} B of output"
+
+
+def test_traced_peak_grows_by_the_kept_matrices_alone(traced_file_run, tmp_path):
+    fmt, _, peak_11 = traced_file_run
+    argv = [*ARGV, "--format", fmt, "--out", str(tmp_path / f"out.{fmt}")]
+    argv[argv.index(GRID)] = "0:1:0.05"  # 21 points
+    growth = _traced_peak(argv) - peak_11
+    limit = 2 * 10 * 16 * (CUTOFF + 1) ** 2  # twice ten more complex matrices
+    assert growth <= limit, f"10 more points added {growth} B to the traced peak"

@@ -420,3 +420,6 @@ class TestRandomFockVectors:
             random_fock_vectors(0, 5, seed=0)
         with pytest.raises(ValidationError):
             random_fock_vectors(3, -1, seed=0)
+        for seed in (-1, 1.5):
+            with pytest.raises(ValidationError, match="seed"):
+                random_fock_vectors(3, 2, seed)
