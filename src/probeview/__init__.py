@@ -9,7 +9,7 @@ verifier, and sweep helpers plus a CLI that emit the derived curves as
 CSV/JSON.
 """
 
-from .analysis import SweepResult, cat_purity, oracle_check, purity, purity_sweep, thermal_sweep
+from .analysis import cat_purity, oracle_check, purity, purity_sweep, thermal_sweep
 from .fock import (
     Coherent,
     DensityMatrix,
@@ -87,7 +87,6 @@ __all__ = [
     "partial_trace_numeric",
     "compare_states",
     "random_fock_vectors",
-    "SweepResult",
     "purity",
     "purity_sweep",
     "thermal_sweep",

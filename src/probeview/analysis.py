@@ -2,14 +2,15 @@
 
 Sweeps recompute the closed forms directly (binomial purity, effective
 inverse temperature) rather than caching kernel output; they are exact
-and fast, and they are what the CLI serializes.  The oracle check runs the
-closed forms and the kernel against the independent two-mode oracle.
+and fast.  Each returns one (rows, 3) float array, parameters then value,
+which the CLI serializes in blocks of rows under its own column names.
+The oracle check runs the closed forms and the kernel against the
+independent two-mode oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -19,7 +20,6 @@ from .oracle import expand_two_mode, partial_trace_numeric, random_fock_vectors
 from .reduction import _binomial_diagonals, beta_prime, reduce_pure_states
 
 __all__ = [
-    "SweepResult",
     "purity",
     "purity_sweep",
     "thermal_sweep",
@@ -30,34 +30,6 @@ __all__ = [
 
 # seeded random states of support max_n that oracle_check reduces at every grid point
 RANDOM_STATE_COUNT = 100
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Rows of (parameters..., output) with a fixed column schema.
-
-    Rows are ordered ascending by the first column and the parameter
-    part (all but the last column) of each row is unique.
-    """
-
-    rows: tuple[tuple[float, ...], ...]
-    schema: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(float(x) for x in row) for row in self.rows)
-        schema = tuple(str(name) for name in self.schema)
-        if len(schema) < 2:
-            raise ValidationError("schema needs at least one parameter and one output column")
-        if any(len(row) != len(schema) for row in rows):
-            raise ValidationError("every row must match the schema length")
-        firsts = [row[0] for row in rows]
-        if any(a > b for a, b in zip(firsts, firsts[1:])):
-            raise ValidationError("rows must be ordered ascending by the first column")
-        params = [row[:-1] for row in rows]
-        if len(set(params)) != len(params):
-            raise ValidationError("duplicate parameter tuples in sweep rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "schema", schema)
 
 
 def purity(rho: Union[DensityMatrix, np.ndarray]) -> float:
@@ -72,50 +44,54 @@ def purity(rho: Union[DensityMatrix, np.ndarray]) -> float:
     return float(np.sum(np.abs(elems) ** 2))
 
 
-def purity_sweep(n_values: Iterable[int], q0sq_grid: Iterable[float]) -> SweepResult:
+def purity_sweep(n_values: Iterable[int], q0sq_grid: Iterable[float]) -> np.ndarray:
     """Purity of reduced number states over a (n, q0**2) grid.
 
-    One row (n, q0sq, purity) per grid point, ordered by n then q0sq;
-    duplicate grid entries are collapsed.  The reduced |n><n| is diagonal,
-    B(n, q0**2), so each q0sq builds one binomial table, dropped before the
-    next, and no density matrix; a purity sums the squares over the dense
-    (n+1) x (n+1) layout of that diagonal, so it has the bits of ``purity``
-    of the matrix.
+    A (rows, 3) float array with one row (n, q0sq, purity) per grid point,
+    ordered by n then q0sq; duplicate grid entries are collapsed.  The
+    reduced |n><n| is diagonal, B(n, q0**2), so each q0sq builds one
+    binomial table, dropped before the next, and no density matrix; a
+    purity sums the squares over the dense (n+1) x (n+1) layout of that
+    diagonal, so it has the bits of ``purity`` of the matrix.
     """
-    ns = sorted({int(n) for n in n_values})
-    if not ns or ns[0] < 0:
+    ns = list(n_values)
+    if not ns or any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0 for n in ns):
         raise ValidationError("n_values must be a nonempty collection of nonnegative integers")
+    ns = sorted(set(map(int, ns)))
     qs = sorted({float(q) for q in q0sq_grid})
     if not qs or qs[0] < 0.0 or qs[-1] > 1.0:
         raise ValidationError("q0sq_grid values must lie in [0, 1]")
-    values = np.empty((len(ns), len(qs)))
+    table = np.empty((len(ns), len(qs), 3))
+    table[..., 0] = np.array(ns, dtype=float)[:, None]
+    table[..., 1] = qs
     for j, q0sq in enumerate(qs):
-        table = _binomial_diagonals(ns, ModeSplit(q0sq))
+        diagonals = _binomial_diagonals(ns, ModeSplit(q0sq))
         for k, n in enumerate(ns):
-            values[k, j] = np.sum(np.square(np.diag(table[k, : n + 1])))
-    rows = [(float(n), q0sq, float(values[k, j])) for k, n in enumerate(ns) for j, q0sq in enumerate(qs)]
-    return SweepResult(tuple(rows), ("n", "q0sq", "purity"))
+            table[k, j, 2] = np.sum(np.square(np.diag(diagonals[k, : n + 1])))
+    return table.reshape(-1, 3)
 
 
-def thermal_sweep(q0sq_values: Iterable[float], betaE_grid: Iterable[float]) -> SweepResult:
+def thermal_sweep(q0sq_values: Iterable[float], *, inv_betaE: Iterable[float]) -> np.ndarray:
     """Reduced-state temperature map over a (1/betaE, q0**2) grid.
 
-    One row (inv_betaE, q0sq, inv_beta_primeE) per grid point, ordered by
-    the normalized input temperature 1/betaE, then q0sq.  At q0sq = 0,
-    beta'E = +inf: the reduced state is the vacuum, whose temperature
-    1/beta'E is 0.
+    A (rows, 3) float array with one row (inv_betaE, q0sq, inv_beta_primeE)
+    per grid point, ordered by the normalized input temperature 1/betaE,
+    as given, then q0sq.  At q0sq = 1 the reduced state is the input, so
+    1/beta'E is the given 1/betaE, bit for bit.  At q0sq = 0, beta'E = +inf:
+    the reduced state is the vacuum, whose temperature 1/beta'E is 0.
     """
     qs = sorted({float(q) for q in q0sq_values})
     if not qs or qs[0] < 0.0 or qs[-1] > 1.0:
         raise ValidationError("q0sq_values must lie in [0, 1]")
-    bes = sorted({float(be) for be in betaE_grid})
-    if not bes or bes[0] <= 0.0 or not all(map(math.isfinite, bes)):
-        raise ValidationError("betaE_grid values must be positive and finite")
-    rows = []
-    for be in reversed(bes):  # descending betaE = ascending 1/betaE
-        for q0sq in qs:
-            rows.append((1.0 / be, q0sq, 1.0 / beta_prime(be, q0sq)))
-    return SweepResult(tuple(rows), ("inv_betaE", "q0sq", "inv_beta_primeE"))
+    temperatures = sorted({float(t) for t in inv_betaE})
+    if not temperatures or not all(0.0 < t < math.inf and 1.0 / t < math.inf for t in temperatures):
+        raise ValidationError("inv_betaE values must be positive and finite, with a finite betaE = 1/value")
+    table = np.empty((len(temperatures), len(qs), 3))
+    table[..., 0] = np.array(temperatures)[:, None]
+    table[..., 1] = qs
+    for row, t in zip(table, temperatures):
+        row[:, 2] = [t if q0sq == 1.0 else 1.0 / beta_prime(1.0 / t, q0sq) for q0sq in qs]
+    return table.reshape(-1, 3)
 
 
 def cat_purity(q0sq: float) -> float:

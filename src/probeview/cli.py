@@ -8,9 +8,9 @@ byte-identical bytes.  A matrix's elements are formatted once per distinct
 magnitude, with the sign prefixed, since %.17g is sign-symmetric.  A command
 computes and checks every result before the output is opened, so a failed
 run writes nothing; main then renders only the requested format and writes
-each piece, about one per matrix, as it is rendered, never joining them into
-one string.  Exit codes: 0 success, 2 validation error, 3 oracle
-disagreement, 4 file I/O error.
+each piece, about one per matrix or per block of sweep rows, as it is
+rendered, never joining them into one string.  Exit codes: 0 success,
+2 validation error, 3 oracle disagreement, 4 file I/O error.
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ _MAX_MATRIX_BYTES = 2**26
 # max_n**3; bounding those bytes at the largest n keeps --max-n at 255 and the default sweep
 # near 1 s
 _MAX_SWEEP_MATRIX_BYTES = 2**20
+# bytes of a sweep's (rows, 3) float table: 2,796,202 rows, far above CI's largest sweep (5,355)
+_MAX_SWEEP_TABLE_BYTES = 2**26
+# rows of a float table formatted per piece, so the text held at one time is one block's
+_TABLE_BLOCK_ROWS = 1024
 
 
 def _fmt_float(value: float) -> str:
@@ -112,16 +116,30 @@ def _render_matrix(elems: np.ndarray, indent: int) -> str:
     return ("[\n" + ",\n".join([row] * rows) + "\n" + pad + "]") % _complex_cells(elems)
 
 
+def _table_blocks(table: np.ndarray, row: str, separator: str) -> Iterator[str]:
+    """The rows of a real 2-D table as row % cells, joined by separator, one piece per block."""
+    for block in np.split(table, range(_TABLE_BLOCK_ROWS, len(table), _TABLE_BLOCK_ROWS)):
+        yield separator.join([row] * len(block)) % tuple(_fmt_floats(block))
+
+
 def _render_json(value, indent: int = 0) -> Iterator[str]:
     """Yield deterministic pretty JSON with %.17g floats; no external state.
 
-    A matrix is one piece, its elements formatted once per distinct
-    magnitude; the brackets, keys and separators around it are small pieces
-    of their own, so no piece holds the whole document, and main writes each
-    piece before the next is rendered.
+    A complex matrix is one piece, its elements formatted once per distinct
+    magnitude, and a real table one piece per block of rows; the brackets,
+    keys and separators around them are small pieces of their own, so no
+    piece holds the whole document, and main writes each piece before the
+    next is rendered.
     """
     if isinstance(value, np.ndarray):
-        yield _render_matrix(value, indent)
+        if np.iscomplexobj(value):
+            yield _render_matrix(value, indent)
+            return
+        row = " " * (indent + 2) + "[" + ", ".join(["%s"] * value.shape[1]) + "]"
+        yield "["
+        for position, block in enumerate(_table_blocks(value, row, ",\n")):
+            yield (",\n" if position else "\n") + block
+        yield "\n" + " " * indent + "]"
         return
     scalar = _json_scalar(value)
     if scalar is not None:
@@ -151,16 +169,12 @@ def _render_json(value, indent: int = 0) -> Iterator[str]:
     yield "\n" + " " * indent + closing
 
 
-def _csv_row(values) -> str:
-    return ",".join(v if isinstance(v, str) else _json_scalar(v) for v in values)
-
-
-def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
-    """A single float or an inclusive range 'start:stop:step'."""
+def _grid_range(text: str, flag: str) -> tuple[float, float, float, int]:
+    """(start, stop, step, points) of x, as x:x:1, or of 'start:stop:step', building no grid."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return (float(parts[0]),)
+            return float(text), float(text), 1.0, 1
         if len(parts) != 3:
             raise ValueError
         start, stop, step = (float(p) for p in parts)
@@ -176,18 +190,22 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
         raise ValidationError(
             f"{flag} {text} gives {points:.6g} points; the limit is {_MAX_GRID_POINTS}"
         )
+    return start, stop, step, points
+
+
+def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
+    """A single float or an inclusive range 'start:stop:step'."""
+    start, stop, step, points = _grid_range(text, flag)
     values = [start + k * step for k in range(points)]
     if abs(values[-1] - stop) <= 1e-9 * max(1.0, abs(stop)):
         values[-1] = stop
     return tuple(values)
 
 
-def _check_bytes(flag: str, value: int, implied: int, limit: int, what: str) -> None:
-    """Reject a size flag whose implied bytes, named by what, would exceed limit."""
+def _check_bytes(flags: str, implied: int, limit: int, what: str) -> None:
+    """Reject size flags, given with their values, whose implied bytes for what would exceed limit."""
     if implied > limit:
-        raise ValidationError(
-            f"{flag} {value} implies {implied} bytes for {what}; the limit is {limit} bytes"
-        )
+        raise ValidationError(f"{flags} implies {implied} bytes for {what}; the limit is {limit} bytes")
 
 
 def _parse_q0sq(text: str) -> tuple[float, ...]:
@@ -310,7 +328,7 @@ def _cmd_reduce(args: argparse.Namespace):
     # one policy for every materialization of the run, mixture components included
     policy = TruncationPolicy(args.cutoff, tail_tol=_check_tol(args.tol))
     implied = 16 * (args.cutoff + 1) ** 2
-    _check_bytes("--cutoff", args.cutoff, implied, _MAX_MATRIX_BYTES, "one reduced matrix")
+    _check_bytes(f"--cutoff {args.cutoff}", implied, _MAX_MATRIX_BYTES, "one reduced matrix")
     if args.alpha is not None:
         family = Coherent(_parse_alpha(args.alpha))
     else:
@@ -349,32 +367,37 @@ def _reduce_csv_lines(cutoff: int, results: list[dict]) -> Iterator[str]:
         )
 
 
-def _sweep_payload(command: str, sweep):
-    payload = {"command": command, "schema": sweep.schema, "rows": sweep.rows}
-    header = (f"# command = {command}", ",".join(sweep.schema))
-    return payload, itertools.chain(header, map(_csv_row, sweep.rows)), 0
+def _sweep_payload(command: str, schema: tuple[str, ...], table: np.ndarray):
+    header = (f"# command = {command}", ",".join(schema))
+    csv = itertools.chain(header, _table_blocks(table, "%s,%s,%s", "\n"))
+    return {"command": command, "schema": schema, "rows": table}, csv, 0
 
 
 def _cmd_sweep_purity(args: argparse.Namespace):
+    rows = args.max_n * _grid_range(args.q0sq, "--q0sq")[3]
+    flags = f"--max-n {args.max_n} with --q0sq {args.q0sq}"
+    _check_bytes(flags, 24 * rows, _MAX_SWEEP_TABLE_BYTES, f"{rows} rows of the sweep table")
     grid = _parse_q0sq(args.q0sq)
     if args.max_n < 1:
         raise ValidationError(f"--max-n must be >= 1, got {args.max_n}")
     implied = 16 * (args.max_n + 1) ** 2
-    _check_bytes("--max-n", args.max_n, implied, _MAX_SWEEP_MATRIX_BYTES, "the float arrays of one purity")
-    sweep = purity_sweep(range(1, args.max_n + 1), grid)
-    return _sweep_payload("sweep-purity", sweep)
+    _check_bytes(f"--max-n {args.max_n}", implied, _MAX_SWEEP_MATRIX_BYTES, "the float arrays of one purity")
+    table = purity_sweep(range(1, args.max_n + 1), grid)
+    return _sweep_payload("sweep-purity", ("n", "q0sq", "purity"), table)
 
 
 def _cmd_sweep_thermal(args: argparse.Namespace):
     grid = _parse_q0sq(args.q0sq)
+    rows = len(grid) * _grid_range(args.inv_betae, "--inv-betae")[3]
+    flags = f"--q0sq {args.q0sq} with --inv-betae {args.inv_betae}"
+    _check_bytes(flags, 24 * rows, _MAX_SWEEP_TABLE_BYTES, f"{rows} rows of the sweep table")
     inv_betae = _parse_grid(args.inv_betae, "--inv-betae")
     if any(v <= 0.0 for v in inv_betae):
         raise ValidationError("--inv-betae values must be positive")
-    betae_grid = [1.0 / v for v in inv_betae]
-    if not all(map(math.isfinite, betae_grid)):
+    if not all(math.isfinite(1.0 / v) for v in inv_betae):
         raise ValidationError("--inv-betae values must have a finite reciprocal (betaE = 1/value)")
-    sweep = thermal_sweep(grid, betae_grid)
-    return _sweep_payload("sweep-thermal", sweep)
+    table = thermal_sweep(grid, inv_betaE=inv_betae)
+    return _sweep_payload("sweep-thermal", ("inv_betaE", "q0sq", "inv_beta_primeE"), table)
 
 
 def _cmd_oracle_check(args: argparse.Namespace):
@@ -387,7 +410,7 @@ def _cmd_oracle_check(args: argparse.Namespace):
     if seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {seed}")
     implied = 16 * (max_n + 1 + RANDOM_STATE_COUNT) * (max_n + 1) ** 2
-    _check_bytes("--max-n", max_n, implied, _MAX_ORACLE_BYTES, "the two-mode expansion")
+    _check_bytes(f"--max-n {max_n}", implied, _MAX_ORACLE_BYTES, "the two-mode expansion")
     rows = oracle_check(max_n, seed, grid)
     disagrees = any(max_abs_diff > tol for _, _, max_abs_diff in rows)
     status = "disagreement" if disagrees else "ok"
@@ -407,7 +430,8 @@ def _cmd_oracle_check(args: argparse.Namespace):
         f"# status = {status}",
         "check,cases,max_abs_diff",
     )
-    return payload, itertools.chain(header, map(_csv_row, rows)), 3 if disagrees else 0
+    lines = (f"{name},{cases},{_fmt_float(diff)}" for name, cases, diff in rows)
+    return payload, itertools.chain(header, lines), 3 if disagrees else 0
 
 
 def _cmd_profile_overlap(args: argparse.Namespace):

@@ -85,7 +85,7 @@ def test_criterion_2_number_state_purity_sweep():
         result = purity_sweep(range(1, 6), TWENTYONE_GRID)
         frozen = {1: 0.5, 2: 0.375, 3: 0.3125, 4: 0.2734375, 5: 0.24609375}
         by_n = {}
-        for n, q0sq, value in result.rows:
+        for n, q0sq, value in result.tolist():
             by_n.setdefault(int(n), []).append((q0sq, value))
         assert sorted(by_n) == [1, 2, 3, 4, 5]
         for n, points in by_n.items():

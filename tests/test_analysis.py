@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from helpers import cat_vector, pad_matrix
 from probeview import (
     ModeSplit,
-    SweepResult,
     ValidationError,
     cat_purity,
     oracle_check,
@@ -51,32 +50,27 @@ class TestPurity:
 
 
 class TestPuritySweep:
-    def test_schema(self):
-        result = purity_sweep([1], [0.0, 1.0])
-        assert result.schema == ("n", "q0sq", "purity")
-
     def test_endpoints_are_exactly_pure(self):
         result = purity_sweep(range(1, 6), np.linspace(0.0, 1.0, 21))
-        for row in result.rows:
+        assert result.shape == (5 * 21, 3) and result.dtype == np.float64
+        for row in result:
             if row[1] in (0.0, 1.0):
                 assert row[2] == 1.0
 
     def test_minimum_at_balanced_split(self):
         grid = np.linspace(0.0, 1.0, 21)
         result = purity_sweep([3], grid)
-        values = [row[2] for row in result.rows]
-        assert grid[int(np.argmin(values))] == 0.5
+        assert grid[int(np.argmin(result[:, 2]))] == 0.5
 
     def test_frozen_minimum_values(self):
         result = purity_sweep(range(1, 6), [0.5])
         expected = {1: 0.5, 2: 0.375, 3: 0.3125, 4: 0.2734375, 5: 0.24609375}
-        for row in result.rows:
+        for row in result:
             assert row[2] == pytest.approx(expected[int(row[0])], abs=1e-12)
 
     def test_symmetric_about_half(self):
         grid = np.linspace(0.0, 1.0, 21)
-        result = purity_sweep([2], grid)
-        values = [row[2] for row in result.rows]
+        values = purity_sweep([2], grid)[:, 2]
         for k in range(len(grid)):
             assert values[k] == pytest.approx(values[len(grid) - 1 - k], abs=1e-12)
 
@@ -87,7 +81,7 @@ class TestPuritySweep:
         expected = [
             purity(reduce_number_state(n, ModeSplit(q0sq))) for n in range(41) for q0sq in grid
         ]
-        assert [row[2] for row in result.rows] == expected
+        assert result[:, 2].tolist() == expected
 
     def test_memory_does_not_grow_by_a_table_per_grid_point(self):
         # n = 255 has a table row of 256 floats, 2 KB, per q0sq; each is dropped before the
@@ -105,8 +99,7 @@ class TestPuritySweep:
 
     def test_rows_ordered_and_deduplicated(self):
         result = purity_sweep([2, 1, 2], [0.5, 0.1, 0.5])
-        params = [(row[0], row[1]) for row in result.rows]
-        assert params == [(1.0, 0.1), (1.0, 0.5), (2.0, 0.1), (2.0, 0.5)]
+        assert result[:, :2].tolist() == [[1.0, 0.1], [1.0, 0.5], [2.0, 0.1], [2.0, 0.5]]
 
     def test_input_validation(self):
         with pytest.raises(ValidationError):
@@ -115,66 +108,71 @@ class TestPuritySweep:
             purity_sweep([-1], [0.5])
         with pytest.raises(ValidationError):
             purity_sweep([1], [1.5])
+        # reduce_number_state refuses these occupations too; int() would truncate 2.7 to 2
+        for n in (2.7, "4", True):
+            with pytest.raises(ValidationError, match="n_values"):
+                purity_sweep([n], [0.5])
 
 
 class TestThermalSweep:
-    def test_schema(self):
-        result = thermal_sweep([1.0], [1.0])
-        assert result.schema == ("inv_betaE", "q0sq", "inv_beta_primeE")
-
     def test_full_overlap_is_identity(self):
-        result = thermal_sweep([1.0], [0.5, 1.0, 2.0])
-        for row in result.rows:
-            assert row[2] == pytest.approx(row[0], rel=1e-15)
+        # beta'E = betaE at q0sq = 1, so the reduced temperature is the given one, bit for bit
+        result = thermal_sweep([1.0], inv_betaE=[2.0, 1.0, 0.5, 1 / 0.9, 49.0])
+        assert result[:, 2].tolist() == result[:, 0].tolist()
 
     def test_frozen_ln3(self):
-        result = thermal_sweep([0.5], [math.log(2.0)])
-        assert result.rows[0][2] == pytest.approx(1.0 / math.log(3.0), abs=1e-12)
-        assert result.rows[0][2] == pytest.approx(0.910239226626837428, abs=1e-12)
+        result = thermal_sweep([0.5], inv_betaE=[1.0 / math.log(2.0)])
+        assert result[0, 2] == pytest.approx(1.0 / math.log(3.0), abs=1e-12)
+        assert result[0, 2] == pytest.approx(0.910239226626837428, abs=1e-12)
 
     def test_frozen_cold_point(self):
-        result = thermal_sweep([0.5], [5.0])
-        assert result.rows[0][2] == pytest.approx(0.175753950902173606, abs=1e-12)
+        result = thermal_sweep([0.5], inv_betaE=[1.0 / 5.0])
+        assert result[0, 2] == pytest.approx(0.175753950902173606, abs=1e-12)
 
     def test_reduced_always_colder(self):
-        result = thermal_sweep([0.25, 0.5, 0.75], np.arange(0.1, 10.05, 0.1) ** -1)
-        for row in result.rows:
+        result = thermal_sweep([0.25, 0.5, 0.75], inv_betaE=np.arange(0.1, 10.05, 0.1))
+        for row in result:
             assert row[2] <= row[0] * (1.0 + 1e-12)
 
     def test_monotone_in_input_temperature(self):
-        result = thermal_sweep([0.5], [0.5, 1.0, 2.0, 4.0])
-        outputs = [row[2] for row in result.rows]
+        outputs = thermal_sweep([0.5], inv_betaE=[2.0, 1.0, 0.5, 0.25])[:, 2].tolist()
         assert outputs == sorted(outputs)
 
     def test_monotone_in_overlap(self):
-        result = thermal_sweep([0.2, 0.4, 0.6, 0.8, 1.0], [1.0])
-        outputs = [row[2] for row in result.rows]
+        outputs = thermal_sweep([0.2, 0.4, 0.6, 0.8, 1.0], inv_betaE=[1.0])[:, 2].tolist()
         assert outputs == sorted(outputs)
 
     def test_ordered_ascending_by_temperature(self):
-        result = thermal_sweep([0.5, 1.0], [0.5, 2.0, 1.0])
-        firsts = [row[0] for row in result.rows]
-        assert firsts == sorted(firsts)
-        assert firsts[0] == 0.5  # 1/betaE for betaE = 2
+        result = thermal_sweep([0.5, 1.0], inv_betaE=[2.0, 0.5, 1.0])
+        assert result[:, :2].tolist() == [
+            [0.5, 0.5], [0.5, 1.0], [1.0, 0.5], [1.0, 1.0], [2.0, 0.5], [2.0, 1.0]
+        ]
 
     def test_zero_overlap_is_vacuum(self):
-        result = thermal_sweep([0.0, 1e-300, 0.5], [0.5, 2.0])
-        zero_rows = [row for row in result.rows if row[1] == 0.0]
-        assert [row[0] for row in zero_rows] == [0.5, 2.0]
-        assert all(row[2] == 0.0 for row in zero_rows)
+        result = thermal_sweep([0.0, 1e-300, 0.5], inv_betaE=[2.0, 0.5])
+        zero_rows = result[result[:, 1] == 0.0]
+        assert zero_rows[:, 0].tolist() == [0.5, 2.0]
+        assert all(zero_rows[:, 2] == 0.0)
         # the q0sq -> 0 limit: 1/beta'E ~ 1/ln(1/q0sq) falls towards 0
-        tiny_rows = [row for row in result.rows if row[1] == 1e-300]
-        assert all(0.0 < row[2] < 2e-3 for row in tiny_rows)
+        tiny_rows = result[result[:, 1] == 1e-300]
+        assert all((0.0 < tiny_rows[:, 2]) & (tiny_rows[:, 2] < 2e-3))
 
     def test_input_validation(self):
         with pytest.raises(ValidationError):
-            thermal_sweep([-0.1], [1.0])
+            thermal_sweep([-0.1], inv_betaE=[1.0])
         with pytest.raises(ValidationError):
-            thermal_sweep([0.5], [-1.0])
+            thermal_sweep([0.5], inv_betaE=[-1.0])
         with pytest.raises(ValidationError):
-            thermal_sweep([0.5], [])
+            thermal_sweep([0.5], inv_betaE=[])
         with pytest.raises(ValidationError):
-            thermal_sweep([1.2], [1.0])
+            thermal_sweep([1.2], inv_betaE=[1.0])
+        # betaE = 1/value must be positive and finite too
+        for value in (math.inf, math.nan, 1e-310):
+            with pytest.raises(ValidationError, match="inv_betaE"):
+                thermal_sweep([0.5], inv_betaE=[value])
+        # a positional grid once meant betaE; it must not be read silently as 1/betaE
+        with pytest.raises(TypeError):
+            thermal_sweep([0.5], [2.0])
 
 
 class TestCatPurity:
@@ -207,28 +205,6 @@ class TestCatPurity:
 
         numeric = purity(reduce_pure_general(cat_vector(), ModeSplit(q0sq)).rho0)
         assert cat_purity(q0sq) == pytest.approx(numeric, abs=1e-10)
-
-
-class TestSweepResult:
-    def test_accepts_well_formed(self):
-        result = SweepResult(((0.0, 1.0), (1.0, 2.0)), ("x", "y"))
-        assert result.rows == ((0.0, 1.0), (1.0, 2.0))
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValidationError):
-            SweepResult(((1.0, 0.0), (0.0, 0.0)), ("x", "y"))
-
-    def test_rejects_duplicate_parameters(self):
-        with pytest.raises(ValidationError):
-            SweepResult(((0.0, 1.0, 5.0), (0.0, 1.0, 6.0)), ("a", "b", "y"))
-
-    def test_rejects_short_schema(self):
-        with pytest.raises(ValidationError):
-            SweepResult(((1.0,),), ("y",))
-
-    def test_rejects_ragged_rows(self):
-        with pytest.raises(ValidationError):
-            SweepResult(((0.0, 1.0), (1.0,)), ("x", "y"))
 
 
 class TestOracleCheck:

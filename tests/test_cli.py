@@ -18,6 +18,7 @@ from probeview.cli import (
     _MAX_MATRIX_BYTES,
     _MAX_ORACLE_BYTES,
     _MAX_SWEEP_MATRIX_BYTES,
+    _MAX_SWEEP_TABLE_BYTES,
     _fmt_float,
     _fmt_floats,
     _parse_grid,
@@ -344,6 +345,40 @@ class TestSweepCommands:
         payload = json.loads(out)
         assert len(payload["rows"]) == 100 * 4  # 0.1..10 step 0.1 times four q0sq values
 
+    def test_thermal_prints_the_given_temperature(self, capsys):
+        # 1/(1/49) is 49.000000000000007; at q0sq = 1 the reduced temperature is the input's
+        argv = ("sweep-thermal", "--q0sq", "1", "--inv-betae", "49", "--format", "csv")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[2:] == ["49,1,49"]
+
+    def test_thermal_keeps_every_given_temperature(self, capsys):
+        # six values an ulp apart; through betaE = 1/value they merged into four other ones
+        text = "0.9:0.9000000000000006:1.1102230246251565e-16"
+        argv = ("sweep-thermal", "--q0sq", "1", "--inv-betae", text, "--format", "json")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        given = _parse_grid(text, "--inv-betae")
+        assert len(set(given)) == 6
+        assert json.loads(out)["rows"] == [[v, 1, v] for v in given]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep-purity", "--max-n", "4", "--q0sq", "0:1:0.1"),
+            ("sweep-thermal", "--q0sq", "0:1:0.5", "--inv-betae", "0.5:3.5:0.5"),
+        ],
+    )
+    def test_row_blocks_join_to_the_same_bytes(self, capsys, monkeypatch, argv, fmt):
+        # 44 and 21 rows: blocks of 2 and of 5 rows split both tables, the 44 evenly by 2
+        assert main([*argv, "--format", fmt]) == 0
+        whole = capsys.readouterr().out
+        for rows in (2, 5):
+            monkeypatch.setattr(probeview.cli, "_TABLE_BLOCK_ROWS", rows)
+            assert main([*argv, "--format", fmt]) == 0
+            assert capsys.readouterr().out == whole
+
 
 class TestOracleCheckCommand:
     def test_agreement_at_default_tolerance(self, capsys):
@@ -476,6 +511,40 @@ class TestSizeLimits:
         err = self._capped("sweep-purity", "--max-n", "100000")
         assert f"--max-n 100000 implies {16 * 100001**2} bytes" in err
         assert f"the limit is {_MAX_SWEEP_MATRIX_BYTES} bytes" in err
+
+    @pytest.mark.parametrize(
+        "argv, flags, rows",
+        [
+            (("sweep-thermal", "--q0sq", "0:1:1e-4", "--inv-betae", "0.001:100:0.001"),
+             "--q0sq 0:1:1e-4 with --inv-betae 0.001:100:0.001", 10001 * 100000),
+            (("sweep-purity", "--max-n", "255", "--q0sq", "0:1:2e-5"),
+             "--max-n 255 with --q0sq 0:1:2e-5", 255 * 50001),
+        ],
+    )
+    def test_sweep_rows_past_the_byte_limit(self, argv, flags, rows):
+        # every flag is within its own limit; their product is not
+        err = self._capped(*argv)
+        assert f"{flags} implies {24 * rows} bytes for {rows} rows" in err
+        assert f"the limit is {_MAX_SWEEP_TABLE_BYTES} bytes" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep-purity", "--max-n", "2", "--q0sq", "0:1:0.5"),
+            ("sweep-thermal", "--q0sq", "0.5", "--inv-betae", "1:6:1"),
+        ],
+    )
+    def test_sweep_row_limit_boundary(self, capsys, monkeypatch, argv):
+        # CI's largest sweep has 255 * 21 rows; the largest accepted has 2,796,202
+        assert 24 * 2_796_202 <= _MAX_SWEEP_TABLE_BYTES < 24 * 2_796_203
+        monkeypatch.setattr(probeview.cli, "_MAX_SWEEP_TABLE_BYTES", 24 * 6)
+        assert main(list(argv)) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 6
+        monkeypatch.setattr(probeview.cli, "_MAX_SWEEP_TABLE_BYTES", 24 * 6 - 1)
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"implies {24 * 6} bytes for 6 rows of the sweep table; the limit is 143 bytes" in err
 
     def test_matrix_limits_are_far_above_use(self, capsys):
         # the benchmark and CI reduce at --cutoff 128; the largest accepted is 2047

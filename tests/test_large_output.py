@@ -8,6 +8,9 @@ write the same bytes to a file and to standard output, and its traced
 peak allocation must stay below twice the size of what it writes.  Each
 point's text is written as it is rendered, so ten more grid points may add
 only the ten matrices the run keeps until it writes, not their text.
+
+A sweep is one (rows, 3) float table written in blocks of rows, so its
+traced peak may grow by little more than the table's 24 bytes per row.
 """
 
 import json
@@ -146,3 +149,22 @@ def test_traced_peak_grows_by_the_kept_matrices_alone(traced_file_run, tmp_path)
     growth = _traced_peak(argv) - peak_11
     limit = 2 * 10 * 16 * (CUTOFF + 1) ** 2  # twice ten more complex matrices
     assert growth <= limit, f"10 more points added {growth} B to the traced peak"
+
+
+# per sweep: the argv up to its grid flag, a smaller and a larger grid, and the extra rows
+SWEEP_GRIDS = [
+    (("sweep-thermal", "--q0sq", "0:1:0.25", "--inv-betae"), "0.01:40:0.01", "0.001:40:0.001", 5 * 36000),
+    (("sweep-purity", "--max-n", "40", "--q0sq"), "0:1:0.01", "0:1:0.001", 40 * 900),
+]
+SWEEP_BYTES_PER_ROW_LIMIT = 64
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "argv, small, large, extra_rows", SWEEP_GRIDS, ids=[case[0][0] for case in SWEEP_GRIDS]
+)
+def test_sweep_peak_grows_by_little_more_than_its_table(tmp_path, argv, small, large, extra_rows, fmt):
+    out = str(tmp_path / f"out.{fmt}")
+    peaks = [_traced_peak([*argv, grid, "--format", fmt, "--out", out]) for grid in (small, large)]
+    per_row = (peaks[1] - peaks[0]) / extra_rows
+    assert per_row <= SWEEP_BYTES_PER_ROW_LIMIT, f"{per_row:.1f} B per extra row"
