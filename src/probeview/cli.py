@@ -8,9 +8,9 @@ byte-identical bytes.  A matrix's elements are formatted once per distinct
 magnitude, with the sign prefixed, since %.17g is sign-symmetric.  A command
 computes and checks every result before the output is opened, so a failed
 run writes nothing; main then renders only the requested format and writes
-each piece, about one per matrix or per block of sweep rows, as it is
-rendered, never joining them into one string.  Exit codes: 0 success,
-2 validation error, 3 oracle disagreement, 4 file I/O error.
+each piece, one per block of up to _TABLE_BLOCK_ROWS matrix or table rows,
+as it is rendered, never joining them into one string.  Exit codes:
+0 success, 2 validation error, 3 oracle disagreement, 4 file I/O error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -87,11 +87,6 @@ def _fmt_floats(values: np.ndarray) -> list[str]:
     return texts.tolist()
 
 
-def _complex_cells(elems: np.ndarray) -> tuple[str, ...]:
-    """Formatted (re, im) of every element, interleaved in C order."""
-    return tuple(_fmt_floats(np.stack([elems.real, elems.imag], axis=-1)))
-
-
 def _json_scalar(value) -> Optional[str]:
     if value is None:
         return "null"
@@ -106,38 +101,32 @@ def _json_scalar(value) -> Optional[str]:
     return None
 
 
-def _render_matrix(elems: np.ndarray, indent: int) -> str:
-    """A complex matrix as rows of {"re": a, "im": b} objects, one per line."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    cell = " " * (indent + 4) + '{"re": %s, "im": %s}'
-    rows, cols = elems.shape
-    row = inner + "[\n" + ",\n".join([cell] * cols) + "\n" + inner + "]"
-    return ("[\n" + ",\n".join([row] * rows) + "\n" + pad + "]") % _complex_cells(elems)
-
-
-def _table_blocks(table: np.ndarray, row: str, separator: str) -> Iterator[str]:
-    """The rows of a real 2-D table as row % cells, joined by separator, one piece per block."""
-    for block in np.split(table, range(_TABLE_BLOCK_ROWS, len(table), _TABLE_BLOCK_ROWS)):
-        yield separator.join([row] * len(block)) % tuple(_fmt_floats(block))
+def _table_blocks(table: np.ndarray, template: Callable[[int, int], str]) -> Iterator[str]:
+    """A real 2-D table, one piece per block of rows [start, stop): template(start, stop) % cells."""
+    for start in range(0, len(table), _TABLE_BLOCK_ROWS):
+        block = table[start : start + _TABLE_BLOCK_ROWS]
+        yield template(start, start + len(block)) % tuple(_fmt_floats(block))
 
 
 def _render_json(value, indent: int = 0) -> Iterator[str]:
     """Yield deterministic pretty JSON with %.17g floats; no external state.
 
-    A complex matrix is one piece, its elements formatted once per distinct
-    magnitude, and a real table one piece per block of rows; the brackets,
-    keys and separators around them are small pieces of their own, so no
-    piece holds the whole document, and main writes each piece before the
-    next is rendered.
+    An array, a complex matrix as rows of {"re": a, "im": b} objects, is one
+    piece per block of rows; the brackets, keys and separators around it are
+    small pieces of their own, so no piece holds the whole document, and main
+    writes each piece before the next is rendered.
     """
     if isinstance(value, np.ndarray):
+        inner = " " * (indent + 2)
         if np.iscomplexobj(value):
-            yield _render_matrix(value, indent)
-            return
-        row = " " * (indent + 2) + "[" + ", ".join(["%s"] * value.shape[1]) + "]"
+            cell = " " * (indent + 4) + '{"re": %s, "im": %s}'
+            row = inner + "[\n" + ",\n".join([cell] * value.shape[1]) + "\n" + inner + "]"
+            value = np.ascontiguousarray(value).view(float)  # interleaved (re, im) columns, no copy
+        else:
+            row = inner + "[" + ", ".join(["%s"] * value.shape[1]) + "]"
+        blocks = _table_blocks(value, lambda start, stop: ",\n".join([row] * (stop - start)))
         yield "["
-        for position, block in enumerate(_table_blocks(value, row, ",\n")):
+        for position, block in enumerate(blocks):
             yield (",\n" if position else "\n") + block
         yield "\n" + " " * indent + "]"
         return
@@ -172,9 +161,9 @@ def _render_json(value, indent: int = 0) -> Iterator[str]:
 def _grid_range(text: str, flag: str) -> tuple[float, float, float, int]:
     """(start, stop, step, points) of x, as x:x:1, or of 'start:stop:step', building no grid."""
     parts = text.split(":")
+    if len(parts) == 1:
+        parts = [text, text, "1"]
     try:
-        if len(parts) == 1:
-            return float(text), float(text), 1.0, 1
         if len(parts) != 3:
             raise ValueError
         start, stop, step = (float(p) for p in parts)
@@ -315,14 +304,6 @@ def _parse_state(text: str, policy: TruncationPolicy) -> StateFamily:
     return _family_from_descriptor(obj, policy)
 
 
-def _csv_matrix_rows(q0sq: float, elems: np.ndarray) -> str:
-    """The q0sq,i,j,re,im rows of one matrix, joined by newlines."""
-    q = _fmt_float(q0sq)
-    dim = elems.shape[0]
-    index = [f"{i},{j},%s,%s" for i in range(dim) for j in range(dim)]
-    return (f"{q}," + f"\n{q},".join(index)) % _complex_cells(elems)
-
-
 def _cmd_reduce(args: argparse.Namespace):
     grid = _parse_q0sq(args.q0sq)
     # one policy for every materialization of the run, mixture components included
@@ -354,10 +335,15 @@ def _cmd_reduce(args: argparse.Namespace):
 
 
 def _reduce_csv_lines(cutoff: int, results: list[dict]) -> Iterator[str]:
-    """reduce's CSV: the header, every point's matrix rows as one line source each, the summaries."""
+    """reduce's CSV: the header, each point's q0sq,i,j,re,im lines per block of rows, the summaries."""
     yield from ("# command = reduce", f"# cutoff = {cutoff}", "q0sq,i,j,re,im")
     for entry in results:
-        yield _csv_matrix_rows(entry["q0sq"], entry["rho0"])
+        q, cells = _fmt_float(entry["q0sq"]), [f"{j},%s,%s" for j in range(entry["dim"])]
+
+        def lines(start: int, stop: int) -> str:
+            return "\n".join(f"{q},{i}," + f"\n{q},{i},".join(cells) for i in range(start, stop))
+
+        yield from _table_blocks(np.ascontiguousarray(entry["rho0"]).view(float), lines)
     for entry in results:
         yield "# q0sq = {} dim = {} purity = {} mean_occupation = {}".format(
             _fmt_float(entry["q0sq"]),
@@ -369,7 +355,8 @@ def _reduce_csv_lines(cutoff: int, results: list[dict]) -> Iterator[str]:
 
 def _sweep_payload(command: str, schema: tuple[str, ...], table: np.ndarray):
     header = (f"# command = {command}", ",".join(schema))
-    csv = itertools.chain(header, _table_blocks(table, "%s,%s,%s", "\n"))
+    lines = _table_blocks(table, lambda start, stop: "\n".join(["%s,%s,%s"] * (stop - start)))
+    csv = itertools.chain(header, lines)
     return {"command": command, "schema": schema, "rows": table}, csv, 0
 
 

@@ -368,10 +368,22 @@ class TestSweepCommands:
         [
             ("sweep-purity", "--max-n", "4", "--q0sq", "0:1:0.1"),
             ("sweep-thermal", "--q0sq", "0:1:0.5", "--inv-betae", "0.5:3.5:0.5"),
+            ("reduce", "--alpha", "0.6,0.2", "--q0sq", "0:1:0.5", "--cutoff", "10"),
+            (
+                "reduce",
+                "--state",
+                '{"family": "mixture", "weights": [0.25, 0.75], "states": '
+                '[{"family": "number", "n": 2}, {"family": "coherent", "alpha": {"re": 0.3, "im": -0.4}}]}',
+                "--q0sq",
+                "0.3",
+                "--cutoff",
+                "10",
+            ),
         ],
     )
     def test_row_blocks_join_to_the_same_bytes(self, capsys, monkeypatch, argv, fmt):
-        # 44 and 21 rows: blocks of 2 and of 5 rows split both tables, the 44 evenly by 2
+        # 44 and 21 rows, and 11-row matrices: blocks of 2 and of 5 rows split every table,
+        # the 44 evenly by 2, and leave a shorter last block in each matrix
         assert main([*argv, "--format", fmt]) == 0
         whole = capsys.readouterr().out
         for rows in (2, 5):
@@ -681,6 +693,21 @@ class TestValidationExits:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("sweep-thermal", "--inv-betae", "inf"), "--inv-betae"),
+            (("sweep-thermal", "--inv-betae", "nan"), "--inv-betae"),
+            (("sweep-purity", "--q0sq", "inf"), "--q0sq"),
+            (("reduce", "--alpha", "1", "--q0sq", "nan"), "--q0sq"),
+        ],
+    )
+    def test_single_non_finite_grid_value_names_the_flag(self, capsys, argv, flag):
+        # one value x is the grid x:x:1, so it gets a range's finiteness check
+        code = main(list(argv))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag} values must be finite\n"
 
     def test_inv_betae_without_finite_reciprocal_names_the_flag(self, capsys):
         code = main(["sweep-thermal", "--inv-betae", "1e-310"])

@@ -11,6 +11,8 @@ only the ten matrices the run keeps until it writes, not their text.
 
 A sweep is one (rows, 3) float table written in blocks of rows, so its
 traced peak may grow by little more than the table's 24 bytes per row.
+A matrix is written in the same blocks of rows, so the text rendered at one
+time is one block's, however large the matrix.
 """
 
 import json
@@ -21,7 +23,8 @@ import pytest
 
 from helpers import per_element_fmt
 from probeview import Coherent, ModeSplit, TruncationPolicy, number_expectation, purity, reduce_state
-from probeview.cli import _parse_q0sq, main
+import probeview.cli
+from probeview.cli import _parse_q0sq, _reduce_csv_lines, _render_json, main
 
 ALPHA = 1.2 + 0.4j
 GRID = "0:1:0.1"
@@ -168,3 +171,30 @@ def test_sweep_peak_grows_by_little_more_than_its_table(tmp_path, argv, small, l
     peaks = [_traced_peak([*argv, grid, "--format", fmt, "--out", out]) for grid in (small, large)]
     per_row = (peaks[1] - peaks[0]) / extra_rows
     assert per_row <= SWEEP_BYTES_PER_ROW_LIMIT, f"{per_row:.1f} B per extra row"
+
+
+BLOCK_CUTOFF = 255
+BLOCK_ROWS = 16
+BLOCK_PEAK_TO_MATRIX_LIMIT = 3.0
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_matrix_rendering_peak_is_bounded_by_the_block(monkeypatch, fmt):
+    # 16-row blocks of a 256x256 matrix: one block's cells and text are a 16th of the whole
+    # matrix's, whose text alone is over 3x the matrix bytes in either format
+    monkeypatch.setattr(probeview.cli, "_TABLE_BLOCK_ROWS", BLOCK_ROWS)
+    rho = reduce_state(Coherent(ALPHA), ModeSplit(0.5), TruncationPolicy(BLOCK_CUTOFF))
+    m = rho.elems
+    entry = {"q0sq": 0.5, "dim": rho.dim, "rho0": m, "purity": 1.0, "mean_occupation": 1.0}
+    tracemalloc.start()
+    try:
+        if fmt == "json":
+            pieces = _render_json({"rho0": m})
+        else:
+            pieces = _reduce_csv_lines(BLOCK_CUTOFF, [entry])
+        for _ in pieces:  # each piece is dropped before the next is rendered
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < BLOCK_PEAK_TO_MATRIX_LIMIT * m.nbytes, f"peak {peak} B for a {m.nbytes} B matrix"
