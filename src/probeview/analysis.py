@@ -15,9 +15,12 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .fock import _violations, DensityMatrix, FockVector, ModeSplit, ValidationError, validate_density_matrix
+from .fock import (
+    _check_int, _check_q0sq, _violations, DensityMatrix, FockVector, ModeSplit, ValidationError,
+    validate_density_matrix,
+)
 from .oracle import expand_two_mode, partial_trace_numeric, random_fock_vectors
-from .reduction import _binomial_diagonals, beta_prime, reduce_pure_states
+from .reduction import _beta_prime, _binomial_diagonals, reduce_pure_states
 
 __all__ = [
     "purity",
@@ -44,6 +47,12 @@ def purity(rho: Union[DensityMatrix, np.ndarray]) -> float:
     return float(np.sum(np.abs(elems) ** 2))
 
 
+def _nonempty(values: list, name: str) -> list:
+    if not values:
+        raise ValidationError(f"{name} is empty", param=name)
+    return values
+
+
 def purity_sweep(n_values: Iterable[int], q0sq_grid: Iterable[float]) -> np.ndarray:
     """Purity of reduced number states over a (n, q0**2) grid.
 
@@ -54,18 +63,13 @@ def purity_sweep(n_values: Iterable[int], q0sq_grid: Iterable[float]) -> np.ndar
     purity sums the squares over the dense (n+1) x (n+1) layout of that
     diagonal, so it has the bits of ``purity`` of the matrix.
     """
-    ns = list(n_values)
-    if not ns or any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0 for n in ns):
-        raise ValidationError("n_values must be a nonempty collection of nonnegative integers")
-    ns = sorted(set(map(int, ns)))
-    qs = sorted({float(q) for q in q0sq_grid})
-    if not qs or qs[0] < 0.0 or qs[-1] > 1.0:
-        raise ValidationError("q0sq_grid values must lie in [0, 1]")
-    table = np.empty((len(ns), len(qs), 3))
+    ns = _nonempty(sorted({_check_int(n, "n_values", 0) for n in n_values}), "n_values")
+    splits = _nonempty([ModeSplit(q) for q in sorted({float(q) for q in q0sq_grid})], "q0sq_grid")
+    table = np.empty((len(ns), len(splits), 3))
     table[..., 0] = np.array(ns, dtype=float)[:, None]
-    table[..., 1] = qs
-    for j, q0sq in enumerate(qs):
-        diagonals = _binomial_diagonals(ns, ModeSplit(q0sq))
+    table[..., 1] = [split.q0sq for split in splits]
+    for j, split in enumerate(splits):
+        diagonals = _binomial_diagonals(ns, split)
         for k, n in enumerate(ns):
             table[k, j, 2] = np.sum(np.square(np.diag(diagonals[k, : n + 1])))
     return table.reshape(-1, 3)
@@ -80,23 +84,23 @@ def thermal_sweep(q0sq_values: Iterable[float], *, inv_betaE: Iterable[float]) -
     1/beta'E is the given 1/betaE, bit for bit.  At q0sq = 0, beta'E = +inf:
     the reduced state is the vacuum, whose temperature 1/beta'E is 0.
     """
-    qs = sorted({float(q) for q in q0sq_values})
-    if not qs or qs[0] < 0.0 or qs[-1] > 1.0:
-        raise ValidationError("q0sq_values must lie in [0, 1]")
-    temperatures = sorted({float(t) for t in inv_betaE})
-    if not temperatures or not all(0.0 < t < math.inf and 1.0 / t < math.inf for t in temperatures):
-        raise ValidationError("inv_betaE values must be positive and finite, with a finite betaE = 1/value")
+    qs = _nonempty([_check_q0sq(q) for q in sorted({float(q) for q in q0sq_values})], "q0sq_values")
+    temperatures = _nonempty(sorted({float(t) for t in inv_betaE}), "inv_betaE")
+    if not all(0.0 < t < math.inf and 1.0 / t < math.inf for t in temperatures):
+        raise ValidationError(
+            "inv_betaE values must be positive and finite, with a finite betaE = 1/value", param="inv_betaE"
+        )
     table = np.empty((len(temperatures), len(qs), 3))
     table[..., 0] = np.array(temperatures)[:, None]
     table[..., 1] = qs
     for row, t in zip(table, temperatures):
-        row[:, 2] = [t if q0sq == 1.0 else 1.0 / beta_prime(1.0 / t, q0sq) for q0sq in qs]
+        row[:, 2] = [t if q0sq == 1.0 else 1.0 / _beta_prime(1.0 / t, q0sq) for q0sq in qs]
     return table.reshape(-1, 3)
 
 
 def cat_purity(q0sq: float) -> float:
     """Purity of the reduced equal superposition (|0> + |1>)/sqrt(2): (2 - q0^2 + q0^4)/2."""
-    q0sq = ModeSplit(q0sq).q0sq  # checks the range
+    q0sq = _check_q0sq(q0sq)
     return 0.5 * (2.0 - q0sq + q0sq * q0sq)
 
 
@@ -106,20 +110,17 @@ def oracle_check(max_n: int, seed: int, q0sq_grid: Sequence[float]) -> tuple[tup
     Each q0sq expands |0>..|max_n> and the random states in one call, gates the
     oracle, kernel and zero-padded closed-form stacks once each (the two Gram
     stacks' PSD gate by the rounding bound of fock._violations) and compares
-    whole stacks.  A stack that fails a gate raises ValidationError, as do a
-    max_n below 1 and an empty grid, which would check nothing.
+    whole stacks.  A stack that fails a gate raises ValidationError, as does a
+    bad or empty grid, max_n or seed, each checked before the first expansion.
     """
-    if isinstance(max_n, bool) or not isinstance(max_n, (int, np.integer)) or max_n < 1:
-        raise ValidationError(f"max_n must be an integer >= 1, got {max_n!r}")
-    if len(q0sq_grid) == 0:
-        raise ValidationError("q0sq_grid is empty, so oracle_check would check nothing")
-    basis = [FockVector(row) for row in np.eye(max_n + 1, dtype=complex)]
+    splits = _nonempty([ModeSplit(q0sq) for q0sq in q0sq_grid], "q0sq_grid")
+    max_n = _check_int(max_n, "max_n", 1)
     randoms = random_fock_vectors(RANDOM_STATE_COUNT, max_n, seed)
+    basis = [FockVector(row) for row in np.eye(max_n + 1, dtype=complex)]
     worst_number = worst_random = 0.0
     diagonal = np.arange(max_n + 1)
     closed = np.zeros((max_n + 1, max_n + 1, max_n + 1), dtype=complex)
-    for q0sq in q0sq_grid:
-        split = ModeSplit(q0sq)
+    for split in splits:
         numeric = partial_trace_numeric(expand_two_mode(basis + randoms, split, max_n))
         series = reduce_pure_states(randoms, split)
         closed[:, diagonal, diagonal] = _binomial_diagonals(range(max_n + 1), split)
@@ -133,6 +134,6 @@ def oracle_check(max_n: int, seed: int, q0sq_grid: Sequence[float]) -> tuple[tup
         worst_number = max(worst_number, float(np.max(np.abs(closed - numeric[: max_n + 1]))))
         worst_random = max(worst_random, float(np.max(np.abs(series - numeric[max_n + 1 :]))))
     return (
-        ("number_state_closed_form", len(basis) * len(q0sq_grid), worst_number),
-        ("random_state_series", len(randoms) * len(q0sq_grid), worst_random),
+        ("number_state_closed_form", len(basis) * len(splits), worst_number),
+        ("random_state_series", len(randoms) * len(splits), worst_random),
     )

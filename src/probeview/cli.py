@@ -1,7 +1,9 @@
 """Command-line front end: reductions, sweeps, oracle checks, profile overlap.
 
-The CLI parses, calls and renders: a command checks its flags' bounds, calls
-the library (reduction.reduce_state, analysis.oracle_check) and renders the
+The CLI parses, calls and renders: a command checks only what the library
+cannot know (grid syntax, sizes, --tol), calls the library
+(reduction.reduce_state, analysis.oracle_check), which checks each parameter
+and whose errors main reports under the parameter's flag, and renders the
 result.  Output is deterministic: floats are always rendered with %.17g
 (exact round-trip), mappings keep insertion order, and identical flags yield
 byte-identical bytes.  A matrix's elements are formatted once per distinct
@@ -64,6 +66,9 @@ _MAX_SWEEP_MATRIX_BYTES = 2**20
 _MAX_SWEEP_TABLE_BYTES = 2**26
 # rows of a float table formatted per piece, so the text held at one time is one block's
 _TABLE_BLOCK_ROWS = 1024
+# the flag that sets each library parameter, which main names in place of the parameter
+_FLAGS = {"q0sq": "--q0sq", "cutoff": "--cutoff", "max_n": "--max-n", "seed": "--seed",
+          "inv_betaE": "--inv-betae"}
 
 
 def _fmt_float(value: float) -> str:
@@ -197,16 +202,9 @@ def _check_bytes(flags: str, implied: int, limit: int, what: str) -> None:
         raise ValidationError(f"{flags} implies {implied} bytes for {what}; the limit is {limit} bytes")
 
 
-def _parse_q0sq(text: str) -> tuple[float, ...]:
-    grid = _parse_grid(text, "--q0sq")
-    if any(not 0.0 <= q <= 1.0 for q in grid):
-        raise ValidationError("q0sq values must lie in [0, 1]")
-    return grid
-
-
 def _check_tol(tol: float) -> float:
     if not 0.0 < tol <= 1e-2:
-        raise ValidationError(f"tol must lie in (0, 1e-2], got {tol!r}")
+        raise ValidationError(f"--tol must lie in (0, 1e-2], got {tol!r}")
     return tol
 
 
@@ -262,10 +260,7 @@ def _family_from_descriptor(obj, policy: TruncationPolicy, pure_only: bool = Fal
         raise ValidationError('state descriptor must be an object with a "family" key')
     family = obj["family"]
     if family == "number":
-        n = obj.get("n")
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ValidationError('number descriptor needs a nonnegative integer "n"')
-        return Number(n)
+        return Number(obj.get("n"))
     if family == "coherent":
         return Coherent(_alpha_from(obj))
     if family == "custom":
@@ -305,7 +300,7 @@ def _parse_state(text: str, policy: TruncationPolicy) -> StateFamily:
 
 
 def _cmd_reduce(args: argparse.Namespace):
-    grid = _parse_q0sq(args.q0sq)
+    splits = [ModeSplit(q0sq) for q0sq in _parse_grid(args.q0sq, "--q0sq")]
     # one policy for every materialization of the run, mixture components included
     policy = TruncationPolicy(args.cutoff, tail_tol=_check_tol(args.tol))
     implied = 16 * (args.cutoff + 1) ** 2
@@ -315,11 +310,11 @@ def _cmd_reduce(args: argparse.Namespace):
     else:
         family = _parse_state(args.state, policy)
     results = []
-    for q0sq in grid:
-        rho = reduce_state(family, ModeSplit(q0sq), policy)
+    for split in splits:
+        rho = reduce_state(family, split, policy)
         results.append(
             {
-                "q0sq": q0sq,
+                "q0sq": split.q0sq,
                 "dim": rho.dim,
                 "rho0": rho.elems,
                 "purity": purity(rho),
@@ -364,9 +359,9 @@ def _cmd_sweep_purity(args: argparse.Namespace):
     rows = args.max_n * _grid_range(args.q0sq, "--q0sq")[3]
     flags = f"--max-n {args.max_n} with --q0sq {args.q0sq}"
     _check_bytes(flags, 24 * rows, _MAX_SWEEP_TABLE_BYTES, f"{rows} rows of the sweep table")
-    grid = _parse_q0sq(args.q0sq)
-    if args.max_n < 1:
-        raise ValidationError(f"--max-n must be >= 1, got {args.max_n}")
+    grid = _parse_grid(args.q0sq, "--q0sq")
+    if args.max_n < 1:  # the library sees only the occupations 1..max_n
+        raise ValidationError(f"--max-n must be an integer >= 1, got {args.max_n}")
     implied = 16 * (args.max_n + 1) ** 2
     _check_bytes(f"--max-n {args.max_n}", implied, _MAX_SWEEP_MATRIX_BYTES, "the float arrays of one purity")
     table = purity_sweep(range(1, args.max_n + 1), grid)
@@ -374,28 +369,19 @@ def _cmd_sweep_purity(args: argparse.Namespace):
 
 
 def _cmd_sweep_thermal(args: argparse.Namespace):
-    grid = _parse_q0sq(args.q0sq)
+    grid = _parse_grid(args.q0sq, "--q0sq")
     rows = len(grid) * _grid_range(args.inv_betae, "--inv-betae")[3]
     flags = f"--q0sq {args.q0sq} with --inv-betae {args.inv_betae}"
     _check_bytes(flags, 24 * rows, _MAX_SWEEP_TABLE_BYTES, f"{rows} rows of the sweep table")
-    inv_betae = _parse_grid(args.inv_betae, "--inv-betae")
-    if any(v <= 0.0 for v in inv_betae):
-        raise ValidationError("--inv-betae values must be positive")
-    if not all(math.isfinite(1.0 / v) for v in inv_betae):
-        raise ValidationError("--inv-betae values must have a finite reciprocal (betaE = 1/value)")
-    table = thermal_sweep(grid, inv_betaE=inv_betae)
+    table = thermal_sweep(grid, inv_betaE=_parse_grid(args.inv_betae, "--inv-betae"))
     return _sweep_payload("sweep-thermal", ("inv_betaE", "q0sq", "inv_beta_primeE"), table)
 
 
 def _cmd_oracle_check(args: argparse.Namespace):
     """analysis.oracle_check; a --max-n past _MAX_ORACLE_BYTES is rejected before it runs."""
-    grid = _parse_q0sq(args.q0sq)
+    grid = _parse_grid(args.q0sq, "--q0sq")
     tol = _check_tol(args.tol)
     max_n, seed = args.max_n, args.seed
-    if max_n < 1:
-        raise ValidationError(f"--max-n must be >= 1, got {max_n}")
-    if seed < 0:
-        raise ValidationError(f"--seed must be nonnegative, got {seed}")
     implied = 16 * (max_n + 1 + RANDOM_STATE_COUNT) * (max_n + 1) ** 2
     _check_bytes(f"--max-n {max_n}", implied, _MAX_ORACLE_BYTES, "the two-mode expansion")
     rows = oracle_check(max_n, seed, grid)
@@ -528,7 +514,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args.out, "w", newline="") as handle:
                 handle.writelines(pieces)
     except (ValidationError, TruncationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message, param = str(exc), getattr(exc, "param", None)
+        if param in _FLAGS and message.startswith(param):
+            message = _FLAGS[param] + message[len(param) :]
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,7 +43,32 @@ PSD_TOL = 1e-10
 
 
 class ValidationError(ValueError):
-    """An input violates a documented invariant."""
+    """An input violates a documented invariant; ``param`` names the parameter at fault, if one is."""
+
+    def __init__(self, message: str, param: Optional[str] = None):
+        super().__init__(message)
+        self.param = param
+
+
+def _check_int(value, name: str, minimum: int) -> int:
+    """``value`` as an int if it is an integer >= minimum; a bool, which Python counts as 0 or 1, is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}", param=name)
+    return int(value)
+
+
+def _check_q0sq(q0sq) -> float:
+    q0sq = float(q0sq)
+    if not 0.0 <= q0sq <= 1.0:
+        raise ValidationError(f"q0sq must lie in [0, 1], got {q0sq!r}", param="q0sq")
+    return q0sq
+
+
+def _check_beta_energy(beta_energy) -> float:
+    beta_energy = float(beta_energy)
+    if not beta_energy > 0.0:
+        raise ValidationError(f"beta_energy must lie in (0, +inf], got {beta_energy!r}", param="beta_energy")
+    return beta_energy
 
 
 class TruncationError(RuntimeError):
@@ -65,10 +90,7 @@ class ModeSplit:
     q0sq: float
 
     def __post_init__(self) -> None:
-        q0sq = float(self.q0sq)
-        if not 0.0 <= q0sq <= 1.0:
-            raise ValidationError(f"q0sq must lie in [0, 1], got {q0sq!r}")
-        object.__setattr__(self, "q0sq", q0sq)
+        object.__setattr__(self, "q0sq", _check_q0sq(self.q0sq))
 
     @classmethod
     def from_q0sq(cls, q0sq: float) -> "ModeSplit":
@@ -255,9 +277,7 @@ class Number:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
-            raise ValidationError(f"occupation must be a nonnegative integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _check_int(self.n, "n", 0))
 
 
 @dataclass(frozen=True)
@@ -285,10 +305,7 @@ class Thermal:
     beta_energy: float
 
     def __post_init__(self) -> None:
-        beta_energy = float(self.beta_energy)
-        if not beta_energy > 0.0:
-            raise ValidationError(f"thermal state requires betaE in (0, +inf], got {beta_energy!r}")
-        object.__setattr__(self, "beta_energy", beta_energy)
+        object.__setattr__(self, "beta_energy", _check_beta_energy(self.beta_energy))
 
 
 @dataclass(frozen=True)
@@ -326,12 +343,10 @@ class TruncationPolicy:
     tail_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cutoff, (int, np.integer)) or self.cutoff < 1:
-            raise ValidationError(f"cutoff must be an integer >= 1, got {self.cutoff!r}")
+        object.__setattr__(self, "cutoff", _check_int(self.cutoff, "cutoff", 1))
         tail_tol = float(self.tail_tol)
         if not 0.0 < tail_tol < 1.0:
             raise ValidationError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
-        object.__setattr__(self, "cutoff", int(self.cutoff))
         object.__setattr__(self, "tail_tol", tail_tol)
 
 

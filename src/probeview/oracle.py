@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .fock import DensityMatrix, FockVector, ModeSplit, ValidationError
+from .fock import DensityMatrix, FockVector, ModeSplit, ValidationError, _check_int
 
 __all__ = [
     "TwoModeVector",
@@ -131,8 +131,7 @@ def expand_two_mode(
     ValidationError
         If the support of a state exceeds ``cutoff``.
     """
-    if not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
-        raise ValidationError(f"cutoff must be an integer >= 1, got {cutoff!r}")
+    cutoff = _check_int(cutoff, "cutoff", 1)
     single = isinstance(psi, FockVector)
     states = (psi,) if single else tuple(psi)
     if not states or any(not isinstance(state, FockVector) for state in states):
@@ -145,7 +144,7 @@ def expand_two_mode(
     # row s holds state s, zero-padded; a boolean mask fills in row-major order
     amplitudes = np.zeros((len(states), support), dtype=complex)
     amplitudes[np.arange(support) < sizes[:, None]] = np.concatenate(coeffs)
-    dim = int(cutoff) + 1
+    dim = cutoff + 1
     block = min(len(states), support)
     rungs = np.zeros((block, dim, dim), dtype=complex)  # rungs[k] holds rung first + k
     rungs[0, 0, 0] = 1.0
@@ -229,10 +228,8 @@ def random_fock_vectors(count: int, max_support: int, seed: int) -> list[FockVec
     Coefficients are drawn isotropically (complex standard normal, then
     normalized), so the states are uniform over the unit sphere.
     """
-    if count < 1 or max_support < 0:
-        raise ValidationError("need count >= 1 and max_support >= 0")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    count, max_support = _check_int(count, "count", 1), _check_int(max_support, "max_support", 0)
+    seed = _check_int(seed, "seed", 0)
     # one draw in the order of a real and an imaginary draw per state
     draws = np.random.default_rng(seed).standard_normal((count, 2, max_support + 1))
     raw = draws[:, 0] + 1j * draws[:, 1]

@@ -40,6 +40,9 @@ from .fock import (
     Thermal,
     TruncationPolicy,
     ValidationError,
+    _check_beta_energy,
+    _check_int,
+    _check_q0sq,
     materialize,
 )
 
@@ -74,10 +77,7 @@ def binomial_pmf(n: int, p: float, i: int) -> float:
     keeps sum_i pmf(n, p, i) within 1e-14 of 1 well past n = 200; above
     the float-overflow bound for C(n, i) it falls back to log-gamma.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValidationError(f"trial count must be a nonnegative integer, got {n!r}")
-    if not isinstance(i, (int, np.integer)) or i < 0:
-        raise ValidationError(f"success count must be a nonnegative integer, got {i!r}")
+    n, i = _check_int(n, "n", 0), _check_int(i, "i", 0)
     if i > n:
         raise ValidationError(f"success count {i} exceeds trial count {n}")
     p = float(p)
@@ -130,9 +130,7 @@ def _binomial_diagonals(occupations: Sequence[int], split: ModeSplit) -> np.ndar
 
 def reduce_number_state(n: int, split: ModeSplit) -> DensityMatrix:
     """Reduced state of |n>: diagonal binomial distribution B(n, q0**2)."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValidationError(f"occupation must be a nonnegative integer, got {n!r}")
-    diag = _binomial_diagonals((int(n),), split)[0]
+    diag = _binomial_diagonals((_check_int(n, "n", 0),), split)[0]
     return DensityMatrix(np.diag(diag.astype(complex)))
 
 
@@ -279,12 +277,11 @@ def beta_prime(beta_energy: float, q0_sq: float) -> float:
     does.  It is finite for every q0^2 in (0, 1], subnormal values
     included, and +inf at q0^2 = 0, where the reduced state is the vacuum.
     """
-    be = float(beta_energy)
-    q0_sq = float(q0_sq)
-    if not be > 0.0:
-        raise ValidationError(f"betaE must lie in (0, +inf], got {be!r}")
-    if not 0.0 <= q0_sq <= 1.0:
-        raise ValidationError(f"q0_sq must lie in [0, 1], got {q0_sq!r}")
+    return _beta_prime(_check_beta_energy(beta_energy), _check_q0sq(q0_sq))
+
+
+def _beta_prime(be: float, q0_sq: float) -> float:
+    """beta_prime of a checked betaE and q0^2, for a caller that has checked its whole grid."""
     if q0_sq == 0.0:
         return math.inf
     if q0_sq == 1.0:

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import cat_vector, pad_matrix
+import probeview.analysis
 from probeview import (
     ModeSplit,
     ValidationError,
@@ -102,13 +103,16 @@ class TestPuritySweep:
         assert result[:, :2].tolist() == [[1.0, 0.1], [1.0, 0.5], [2.0, 0.1], [2.0, 0.5]]
 
     def test_input_validation(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="n_values is empty"):
             purity_sweep([], [0.5])
         with pytest.raises(ValidationError):
             purity_sweep([-1], [0.5])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"q0sq must lie in \[0, 1\], got 1.5"):
             purity_sweep([1], [1.5])
-        # reduce_number_state refuses these occupations too; int() would truncate 2.7 to 2
+        with pytest.raises(ValidationError, match="q0sq_grid is empty"):
+            purity_sweep([1], [])
+        # reduce_number_state refuses these occupations too; int() would truncate 2.7 to 2, and
+        # Python counts True as 1
         for n in (2.7, "4", True):
             with pytest.raises(ValidationError, match="n_values"):
                 purity_sweep([n], [0.5])
@@ -162,8 +166,10 @@ class TestThermalSweep:
             thermal_sweep([-0.1], inv_betaE=[1.0])
         with pytest.raises(ValidationError):
             thermal_sweep([0.5], inv_betaE=[-1.0])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="inv_betaE is empty"):
             thermal_sweep([0.5], inv_betaE=[])
+        with pytest.raises(ValidationError, match="q0sq_values is empty"):
+            thermal_sweep([], inv_betaE=[1.0])
         with pytest.raises(ValidationError):
             thermal_sweep([1.2], inv_betaE=[1.0])
         # betaE = 1/value must be positive and finite too
@@ -221,3 +227,11 @@ class TestOracleCheck:
     def test_negative_seed_names_seed(self):
         with pytest.raises(ValidationError, match="seed"):
             oracle_check(2, -1, [0.5])
+
+    def test_bad_last_grid_value_is_refused_before_any_expansion(self, monkeypatch):
+        def expand(*args):
+            raise AssertionError("expand_two_mode ran before the grid was checked")
+
+        monkeypatch.setattr(probeview.analysis, "expand_two_mode", expand)
+        with pytest.raises(ValidationError, match=r"q0sq must lie in \[0, 1\], got 1.5"):
+            oracle_check(3, 0, [0.5, 1.5])

@@ -709,6 +709,44 @@ class TestValidationExits:
         assert code == 2
         assert capsys.readouterr().err == f"error: {flag} values must be finite\n"
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            *(
+                ((command, *extra, "--q0sq", "1.5"), "--q0sq must lie in [0, 1], got 1.5")
+                for command, *extra in (
+                    ("reduce", "--alpha", "1"), ("sweep-purity",), ("sweep-thermal",), ("oracle-check",)
+                )
+            ),
+            (("oracle-check", "--max-n", "0"), "--max-n must be an integer >= 1, got 0"),
+            (("sweep-purity", "--max-n", "0"), "--max-n must be an integer >= 1, got 0"),
+            (("oracle-check", "--seed=-1"), "--seed must be an integer >= 0, got -1"),
+            *(
+                (
+                    ("sweep-thermal", "--inv-betae", value),
+                    "--inv-betae values must be positive and finite, with a finite betaE = 1/value",
+                )
+                for value in ("0", "1e-310")
+            ),
+            (("reduce", "--alpha", "1", "--q0sq", "0.5", "--cutoff", "0"), "--cutoff must be an integer >= 1, got 0"),
+            (("reduce", "--alpha", "1", "--q0sq", "0.5", "--tol", "0.5"), "--tol must lie in (0, 1e-2], got 0.5"),
+            (("oracle-check", "--tol", "0.5"), "--tol must lie in (0, 1e-2], got 0.5"),
+            *(
+                (("reduce", "--state", '{"family": "number"%s}' % n, "--q0sq", "0.5"), line)
+                for n, line in (
+                    (', "n": -1', "n must be an integer >= 0, got -1"),
+                    (', "n": true', "n must be an integer >= 0, got True"),
+                    ("", "n must be an integer >= 0, got None"),
+                )
+            ),
+        ],
+    )
+    def test_library_errors_name_the_flag(self, capsys, argv, line):
+        # the library checks each parameter once; main puts the flag in place of its name
+        code = main(list(argv))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
     def test_inv_betae_without_finite_reciprocal_names_the_flag(self, capsys):
         code = main(["sweep-thermal", "--inv-betae", "1e-310"])
         err = capsys.readouterr().err

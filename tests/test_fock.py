@@ -427,6 +427,9 @@ class TestFamilyValidation:
     def test_number_rejects_negative(self):
         with pytest.raises(ValidationError):
             Number(-1)
+        # Python counts True as 1, but a bool is not an occupation
+        with pytest.raises(ValidationError, match="n must be an integer >= 0, got True"):
+            Number(True)
 
     @pytest.mark.parametrize("beta_energy", [0.0, -1.0, math.nan])
     def test_thermal_rejects_invalid(self, beta_energy):
@@ -456,7 +459,7 @@ class TestFamilyValidation:
         mix = Mixture((1.0 + 5e-11,), (number_vector(0),))
         assert mix.weights == (1.0 + 5e-11,)
 
-    @pytest.mark.parametrize("cutoff,tail_tol", [(0, 1e-12), (4, 0.0), (4, 1.0)])
+    @pytest.mark.parametrize("cutoff,tail_tol", [(0, 1e-12), (4, 0.0), (4, 1.0), (True, 1e-12)])
     def test_truncation_policy_bounds(self, cutoff, tail_tol):
         with pytest.raises(ValidationError):
             TruncationPolicy(cutoff, tail_tol)

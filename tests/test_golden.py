@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from probeview import oracle_check
-from probeview.cli import _parse_q0sq, main
+from probeview.cli import _parse_grid, main
 
 MANIFEST = Path(__file__).with_name("golden_sha256.json")
 PROFILE_NAME = "mode.txt"
@@ -124,7 +124,7 @@ def test_oracle_check_rows_match_golden_checks(workdir, manifest, name):
     payload = json.loads(data)  # %.17g round-trips, so equal floats have equal bits
     argv = CASES[name]
     q0sq = argv[argv.index("--q0sq") + 1] if "--q0sq" in argv else "0:1:0.1"  # the CLI default
-    rows = oracle_check(payload["max_n"], payload["seed"], _parse_q0sq(q0sq))
+    rows = oracle_check(payload["max_n"], payload["seed"], _parse_grid(q0sq, "--q0sq"))
     assert rows == tuple((c["name"], c["cases"], c["max_abs_diff"]) for c in payload["checks"])
 
 

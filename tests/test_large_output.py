@@ -24,7 +24,7 @@ import pytest
 from helpers import per_element_fmt
 from probeview import Coherent, ModeSplit, TruncationPolicy, number_expectation, purity, reduce_state
 import probeview.cli
-from probeview.cli import _parse_q0sq, _reduce_csv_lines, _render_json, main
+from probeview.cli import _parse_grid, _reduce_csv_lines, _render_json, main
 
 ALPHA = 1.2 + 0.4j
 GRID = "0:1:0.1"
@@ -84,7 +84,7 @@ def _reference_csv(results) -> str:
 def reference():
     policy = TruncationPolicy(CUTOFF)
     results = []
-    for q0sq in _parse_q0sq(GRID):
+    for q0sq in _parse_grid(GRID, "--q0sq"):
         rho = reduce_state(Coherent(ALPHA), ModeSplit(q0sq), policy)
         results.append(
             {

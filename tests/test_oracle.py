@@ -231,6 +231,9 @@ class TestExpandTwoMode:
     def test_support_beyond_cutoff_rejected(self):
         with pytest.raises(ValidationError):
             expand_two_mode(number_vector(3), ModeSplit(0.5), 2)
+        # True is not the cutoff 1
+        with pytest.raises(ValidationError, match="cutoff must be an integer >= 1, got True"):
+            expand_two_mode(number_vector(1), ModeSplit(0.5), True)
 
     def test_matches_dense_operator_polynomial(self):
         # apply the dense split ladder explicitly: sum_n c_n (a_q^dag)^n / sqrt(n!) |0,0>
@@ -423,3 +426,7 @@ class TestRandomFockVectors:
         for seed in (-1, 1.5):
             with pytest.raises(ValidationError, match="seed"):
                 random_fock_vectors(3, 2, seed)
+        with pytest.raises(ValidationError, match="count must be an integer >= 1, got 2.5"):
+            random_fock_vectors(2.5, 3, 0)
+        with pytest.raises(ValidationError, match="max_support"):
+            random_fock_vectors(3, True, 0)

@@ -72,6 +72,10 @@ class TestBinomialPmf:
             binomial_pmf(3, 1.5, 1)
         with pytest.raises(ValidationError):
             binomial_pmf(3, 0.5, -1)
+        with pytest.raises(ValidationError, match="n must be an integer >= 0, got True"):
+            binomial_pmf(True, 0.5, 0)
+        with pytest.raises(ValidationError, match="i must be an integer >= 0, got True"):
+            binomial_pmf(3, 0.5, True)
 
     @given(
         st.integers(min_value=0, max_value=140),
@@ -121,6 +125,8 @@ class TestReduceNumberState:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             reduce_number_state(-1, ModeSplit(0.5))
+        with pytest.raises(ValidationError, match="n must be an integer >= 0, got True"):
+            reduce_number_state(True, ModeSplit(0.5))
 
     @pytest.mark.parametrize("q0sq", [0.0, 1e-300, 1e-6, 0.3, 0.5, 1.0 - 1e-6, 1.0])
     def test_stacked_diagonals_match_each_state(self, q0sq):
