@@ -269,9 +269,10 @@ def _family_from_descriptor(obj, policy: TruncationPolicy, pure_only: bool = Fal
         raise ValidationError(f"mixture components must be pure states, got {family!r}")
     if family == "thermal":
         beta_energy = _number_from(obj, "betaE", "thermal")
-        # "energy" is checked for older descriptor files; the state depends on betaE alone
+        # "energy" is checked for older descriptor files; the state depends on betaE alone.
+        # JSON's Infinity and NaN stop here; Thermal owns betaE > 0
         energy = _number_from(obj, "energy", "thermal") if "energy" in obj else 1.0
-        if not (0.0 < beta_energy < math.inf and 0.0 < energy < math.inf):
+        if not (math.isfinite(beta_energy) and 0.0 < energy < math.inf):
             raise ValidationError("thermal descriptor needs finite betaE > 0 and energy > 0")
         return Thermal(beta_energy)
     if family == "mixture":

@@ -2,11 +2,12 @@
 
 The rungs (split creation)^n |0,0> / sqrt(n!) are built by repeatedly
 applying the split creation operator q0*(adag x 1) + q1*(1 x adag) to the
-two-mode vacuum, and folded into the states with matrix products over
-blocks of rungs.  The region marginal is the matrix product c c^dagger of
-each coefficient grid, which sums over the complement index.  No code is
-shared with the closed forms or the kernel in `reduction`; agreement
-between the two paths is the correctness argument.
+two-mode vacuum.  Rung n lives on the antidiagonal n0 + n1 = n, so all
+rungs share one grid, and each coefficient of a state is one product of
+its amplitude and a rung entry.  The region marginal is the matrix product
+c c^dagger of each coefficient grid, which sums over the complement index.
+No code is shared with the closed forms or the kernel in `reduction`;
+agreement between the two paths is the correctness argument.
 """
 
 from __future__ import annotations
@@ -79,20 +80,17 @@ def _checked_two_mode(coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _apply_split_creation(
-    grid: np.ndarray, q0: float, q1: float, overwrite: bool = False
-) -> np.ndarray:
-    """Matrix-free action of the split creation operator on a coefficient grid.
+def _raise_rung(rung: np.ndarray, q0: float, q1: float) -> np.ndarray:
+    """The split creation operator on a rung n, given by its antidiagonal.
 
-    With ``overwrite`` the columns of ``grid`` are scaled in place instead
-    of into a temporary, which leaves ``grid`` unusable afterwards.
+    Entry k of ``rung`` is the coefficient at (k, n - k); entry k of the
+    result, rung n + 1, is q0*sqrt(k) times entry k - 1 plus
+    q1*sqrt(n + 1 - k) times entry k.
     """
-    out = np.zeros_like(grid)
-    rows = np.sqrt(np.arange(1.0, grid.shape[0]))[:, None]
-    cols = np.sqrt(np.arange(1.0, grid.shape[1]))[None, :]
-    np.multiply(q0 * rows, grid[:-1, :], out=out[1:, :])
-    shifted = grid[:, :-1]
-    out[:, 1:] += np.multiply(q1 * cols, shifted, out=shifted if overwrite else None)
+    out = np.zeros(rung.size + 1, dtype=complex)
+    steps = np.sqrt(np.arange(1.0, out.size))
+    np.multiply(q0 * steps, rung, out=out[1:])
+    out[:-1] += q1 * steps[::-1] * rung
     return out
 
 
@@ -102,13 +100,12 @@ def expand_two_mode(
     """Expand single-mode states onto the explicit two-mode basis.
 
     Builds (split creation)^n |0,0> / sqrt(n!) by repeated operator
-    application (never the binomial closed form) and folds the rungs into
-    the states with matrix products, amplitudes @ rungs, in blocks of at
-    most len(psi) rungs, so the rung buffer is never larger than the
-    output; a single state holds one rung at a time.  The rungs are built
-    once per call and serve every state of a sequence.  Rung n is real and
-    lives on the antidiagonal n0 + n1 = n, so each coefficient receives one
-    product and its bits do not depend on the blocking or the stack.
+    application (never the binomial closed form), once per call for every
+    state of a sequence.  Rung n lives on the antidiagonal n0 + n1 = n, so
+    all rungs share one (cutoff+1, cutoff+1) grid, and coefficient
+    (n0, n1) of state s is the one product psi_s[n0 + n1] * rung[n0, n1]:
+    a gather of the amplitudes and one multiply, with no temporary of the
+    output's size.
 
     Parameters
     ----------
@@ -141,30 +138,21 @@ def expand_two_mode(
     support = int(sizes.max())
     if support - 1 > cutoff:
         raise ValidationError(f"state support {support - 1} exceeds cutoff {cutoff}")
-    # row s holds state s, zero-padded; a boolean mask fills in row-major order
-    amplitudes = np.zeros((len(states), support), dtype=complex)
-    amplitudes[np.arange(support) < sizes[:, None]] = np.concatenate(coeffs)
     dim = cutoff + 1
-    block = min(len(states), support)
-    rungs = np.zeros((block, dim, dim), dtype=complex)  # rungs[k] holds rung first + k
-    rungs[0, 0, 0] = 1.0
-    out = np.zeros((len(states), dim * dim), dtype=complex)
-    first = 0
+    # row s holds state s, zero-padded to every n0 + n1; a boolean mask fills in row-major order
+    amplitudes = np.zeros((len(states), 2 * dim - 1), dtype=complex)
+    amplitudes[np.arange(amplitudes.shape[1]) < sizes[:, None]] = np.concatenate(coeffs)
+    # rung n = (split creation)^n |0,0> / sqrt(n!), exactly normalized; entry k sits at (k, n - k)
+    rungs = np.zeros((dim, dim), dtype=complex)
+    rung = np.ones(1, dtype=complex)
+    rungs[0, 0] = 1.0
     for n in range(1, support):
-        folded = n - first == block
-        if folded:
-            out += amplitudes[:, first:n] @ rungs.reshape(block, -1)
-            first = n
-        # rung n = (split creation)^n |0,0> / sqrt(n!), exactly normalized; rung
-        # n-1 may serve as scratch once it is folded in
-        rungs[n - first] = _apply_split_creation(
-            rungs[n - first - 1], split.q0, split.q1, overwrite=folded
-        )
-        rungs[n - first] /= math.sqrt(n)
-    filled = support - first
-    out += amplitudes[:, first:] @ rungs[:filled].reshape(filled, -1)
-    del rungs  # freed before the output is checked
-    out = out.reshape(len(states), dim, dim)
+        rung = _raise_rung(rung, split.q0, split.q1)
+        rung /= math.sqrt(n)
+        rungs.reshape(-1)[n : n * dim + 1 : dim - 1] = rung
+    total = np.add.outer(np.arange(dim), np.arange(dim))  # n0 + n1
+    out = np.take(amplitudes, total, axis=1)
+    out *= rungs
     return TwoModeVector._adopt(out[0] if single else out)
 
 

@@ -310,8 +310,13 @@ def reduce_state(family: StateFamily, split: ModeSplit, policy: TruncationPolicy
     """Reduced state of any family at one split, by the tightest applicable route.
 
     Number, coherent and thermal inputs take their closed forms under ``policy``; custom
-    states (cut to cutoff + 1 amplitudes first) and mixtures take the general kernel.
+    states and mixtures take the general kernel, each pure state longer than cutoff + 1
+    amplitudes cut to them first (never padded).
     """
+
+    def cut(state: FockVector) -> FockVector:
+        return materialize(state, policy).state if state.dim > policy.cutoff + 1 else state
+
     if isinstance(family, Number):
         materialize(family, policy)  # the cutoff must hold |n>, as for a mixture component
         return reduce_number_state(family.n, split)
@@ -323,9 +328,7 @@ def reduce_state(family: StateFamily, split: ModeSplit, policy: TruncationPolicy
     if isinstance(family, Thermal):
         return materialize(reduce_thermal(family.beta_energy, split), policy).state
     if isinstance(family, FockVector):
-        if family.dim > policy.cutoff + 1:
-            family = materialize(family, policy).state
-        return reduce_pure_general(family, split).rho0
+        return reduce_pure_general(cut(family), split).rho0
     if isinstance(family, Mixture):
-        return reduce_mixed(family, split).rho0
+        return reduce_mixed(Mixture(family.weights, tuple(map(cut, family.states))), split).rho0
     raise ValidationError(f"unknown state family: {family!r}")

@@ -747,6 +747,21 @@ class TestValidationExits:
         assert code == 2
         assert capsys.readouterr().err == f"error: {line}\n"
 
+    @pytest.mark.parametrize(
+        "beta_energy, line",
+        [
+            ("0", "beta_energy must lie in (0, +inf], got 0.0"),
+            ("-1", "beta_energy must lie in (0, +inf], got -1.0"),
+            ("Infinity", "thermal descriptor needs finite betaE > 0 and energy > 0"),
+            ("NaN", "thermal descriptor needs finite betaE > 0 and energy > 0"),
+        ],
+    )
+    def test_thermal_descriptor_errors(self, capsys, beta_energy, line):
+        # Thermal owns betaE > 0; the CLI refuses only JSON's non-finite numbers
+        state = '{"family": "thermal", "betaE": %s}' % beta_energy
+        assert main(["reduce", "--state", state, "--q0sq", "0.5"]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
     def test_inv_betae_without_finite_reciprocal_names_the_flag(self, capsys):
         code = main(["sweep-thermal", "--inv-betae", "1e-310"])
         err = capsys.readouterr().err

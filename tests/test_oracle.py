@@ -32,7 +32,7 @@ from probeview import (
     reduce_number_state,
     reduce_pure_general,
 )
-from probeview.oracle import _apply_split_creation
+from probeview.oracle import _raise_rung
 
 
 class TestLadderMatrices:
@@ -184,17 +184,22 @@ class TestSplitCreation:
                     assert comm[k, k] == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_application_matches_dense(self):
+        # a rung on antidiagonal n goes to antidiagonal n + 1, entry k at (k, n - k)
         rng = np.random.default_rng(7)
         split = split_from_amplitude(0.7)
         cutoff = 5
-        state = rng.standard_normal((cutoff + 1, cutoff + 1)) + 1j * rng.standard_normal(
-            (cutoff + 1, cutoff + 1)
-        )
-        dense = (build_split_creation(split, cutoff) @ state.ravel()).reshape(
-            cutoff + 1, cutoff + 1
-        )
-        applied = _apply_split_creation(state, split.q0, split.q1)
-        assert np.max(np.abs(applied - dense)) <= 1e-12
+        dim = cutoff + 1
+        adag = build_split_creation(split, cutoff)
+        total = np.add.outer(np.arange(dim), np.arange(dim))
+        for n in range(cutoff):
+            rung = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            grid = np.zeros((dim, dim), dtype=complex)
+            grid[np.arange(n + 1), n - np.arange(n + 1)] = rung
+            dense = (adag @ grid.ravel()).reshape(dim, dim)
+            applied = _raise_rung(rung, split.q0, split.q1)
+            expected = dense[np.arange(n + 2), n + 1 - np.arange(n + 2)]
+            assert np.max(np.abs(applied - expected)) <= 1e-12
+            assert not np.any(dense[total != n + 1])
 
 
 class TestExpandTwoMode:
@@ -254,8 +259,7 @@ class TestExpandTwoMode:
 
     @pytest.mark.parametrize("q0sq", [0.0, 1e-6, 0.3, 0.5, 1.0 - 1e-6, 1.0])
     def test_stack_and_single_match_dense_ladder(self, q0sq):
-        # supports 1..9 on one basis: nine states fold their rungs in one block,
-        # the last three in blocks of three, and a single state one rung at a time
+        # supports 1..9 on one basis: all nine states, the last three, and each state alone
         split = ModeSplit(q0sq)
         cutoff = 8
         states = [random_fock_vectors(1, support, seed=support)[0] for support in range(9)]
@@ -282,8 +286,22 @@ class TestExpandTwoMode:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # about 3.4x: the output, one rung, the next rung and numpy's iteration buffers
+        # about 2.5x: the output, the grid of all rungs and its n0 + n1 index grid
         assert peak <= 3.5 * two.coeffs.nbytes
+
+    def test_stack_holds_no_product_temporary(self):
+        # the number basis and 100 random states, as oracle_check expands them
+        max_n = 100
+        states = [number_vector(n) for n in range(max_n + 1)]
+        states += random_fock_vectors(100, max_n, seed=5)
+        tracemalloc.start()
+        try:
+            two = expand_two_mode(states, ModeSplit(0.4), max_n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output plus the padded amplitudes, one rung grid and its index grid
+        assert peak <= 1.25 * two.coeffs.nbytes
 
 
 class TestPartialTraceNumeric:

@@ -594,6 +594,26 @@ class TestReduceState:
         with pytest.raises(TruncationError):
             reduce_state(FockVector(np.array([0.6, 0.0, 0.0, 0.8])), split, policy)
 
+    def test_mixture_past_the_cutoff_raises(self):
+        # a tail of 0.6 past |3>, for the state alone and as a mixture's one component
+        flat = FockVector(np.ones(10) / math.sqrt(10.0))
+        for family in (flat, Mixture((1.0,), (flat,))):
+            with pytest.raises(TruncationError):
+                reduce_state(family, ModeSplit(0.5), TruncationPolicy(3))
+
+    def test_mixture_components_are_cut_not_padded(self):
+        split = ModeSplit(0.3)
+        policy = TruncationPolicy(2)
+        psi = FockVector(np.array([0.6, 0.8j, 0.0, 0.0, 0.0, 0.0]))
+        mix = Mixture((0.25, 0.75), (number_vector(1), psi))
+        rho = reduce_state(mix, split, policy)
+        assert rho.dim == 3
+        cut = Mixture(mix.weights, (number_vector(1), materialize(psi, policy).state))
+        assert np.array_equal(rho.elems, reduce_mixed(cut, split).rho0.elems)
+        # components within the cutoff keep their own length
+        short = Mixture((0.5, 0.5), (number_vector(0), number_vector(1)))
+        assert reduce_state(short, split, policy).dim == 2
+
     @pytest.mark.parametrize("family", ["number", 3, None])
     def test_unknown_family_raises(self, family):
         with pytest.raises(ValidationError, match="unknown state family"):
