@@ -185,29 +185,36 @@ def _gamma(terms: int) -> float:
 def _gram_psd_bound(inner: int, dim: int, trace: float) -> float:
     """How far rounding can push lambda_min of a computed Gram product's Hermitian part below 0.
 
-    A = fl(G G^dagger) of a dim x inner complex G satisfies
-    |A - G G^dagger| <= sqrt(2)*gamma_{inner+2} |G| |G|^T (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., section 3.5, with the complex
-    constant of section 3.6), whose 2-norm is at most that constant times
-    ||G||_F^2, and G G^dagger itself is PSD whatever G is.  Forming the
-    Hermitian part rounds each element once: at most 2u*||G||_F^2 more.
+    The product is A = fl(fl(G W) G^dagger) of a dim x inner complex G and a
+    diagonal W >= 0 (a mixture's weights per column; W = I for a pure state,
+    where fl(G W) = G exactly), and G W G^dagger is PSD whatever G is.  With
+    u = 2**-53 and M = |G| W |G|^T, whose 2-norm is at most ||G W^(1/2)||_F^2:
+    - fl(G W) = G W + D with |D| <= u |G| W, so D G^dagger adds at most u*M;
+    - the product of fl(G W) and G^dagger errs by at most
+      sqrt(2)*gamma_{inner+2} |fl(G W)| |G|^T <= sqrt(2)*gamma_{inner+3} M
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      section 3.5, with the complex constant of section 3.6);
+    - zeroing the imaginary part of the diagonal only moves it toward the
+      exact product, and forming the Hermitian part rounds each element
+      once, at most 2u*M more.
     ``trace`` is |tr A|: each diagonal element sums 2*inner nonnegative
-    products and the trace sums dim of them, so ||G||_F^2 is at most
-    trace / (1 - gamma_{2*inner+dim}).
+    products, each rounded at most twice, and the trace sums dim of them,
+    so ||G W^(1/2)||_F^2 is at most trace / (1 - gamma_{2*inner+dim}).
     """
     shrink = 1.0 - _gamma(2 * inner + dim)
     if not shrink > 0.0:
         return math.inf
-    return (math.sqrt(2.0) * _gamma(inner + 2) + 2.0 * 2.0**-53) * (trace / shrink)
+    return (math.sqrt(2.0) * _gamma(inner + 3) + 3.0 * 2.0**-53) * (trace / shrink)
 
 
 def _violations(elems: np.ndarray, gram_inner: Optional[int] = None) -> list[Violation]:
     """validate_density_matrix on an array; ``gram_inner`` marks computed Gram products.
 
-    With ``gram_inner`` = K every matrix must be a computed product G G^dagger,
-    G with K columns (a reduce_pure_states or partial_trace_numeric stack).
-    Its PSD gate is then decided by _gram_psd_bound, with ||G||_F^2 bounded
-    from the computed trace, and Cholesky runs only when the bound does not
+    With ``gram_inner`` = K every matrix must be a computed product G W G^dagger,
+    G with K columns and W >= 0 diagonal (a reduce_pure_states or
+    partial_trace_numeric stack, or a result DensityMatrix._adopt wraps).
+    Its PSD gate is then decided by _gram_psd_bound, with ||G W^(1/2)||_F^2
+    bounded from the computed trace, and Cholesky runs only when the bound does not
     clear PSD_TOL.  The finite, Hermitian and trace gates run either way.
     """
     out: list[Violation] = []
@@ -255,11 +262,19 @@ class DensityMatrix:
         elems = np.array(self.elems, dtype=complex)
         if elems.ndim != 2:
             raise ValidationError(f"density matrix must be 2-D, got shape {elems.shape}")
-        violations = validate_density_matrix(elems)
-        if violations:
-            raise ValidationError(f"invalid density matrix: {violations}")
-        elems.setflags(write=False)
-        object.__setattr__(self, "elems", elems)
+        object.__setattr__(self, "elems", _frozen_density(elems, validate_density_matrix(elems)))
+
+    @classmethod
+    def _adopt(cls, elems: np.ndarray, gram_inner: int) -> "DensityMatrix":
+        """Wrap a computed Gram product no one else holds, checked and frozen in place.
+
+        ``elems`` is a 2-D complex fl(G W) G^dagger, G with ``gram_inner``
+        columns and W >= 0 diagonal, so _gram_psd_bound decides its PSD gate
+        and Cholesky runs only when the bound does not clear PSD_TOL.
+        """
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "elems", _frozen_density(elems, _violations(elems, gram_inner)))
+        return rho
 
     @property
     def dim(self) -> int:
@@ -268,6 +283,14 @@ class DensityMatrix:
     def diagonal(self) -> np.ndarray:
         """Occupation probabilities (real part of the diagonal)."""
         return self.elems.diagonal().real.copy()
+
+
+def _frozen_density(elems: np.ndarray, violations: list[Violation]) -> np.ndarray:
+    """Raise on the violations found in a complex matrix, else make it read-only."""
+    if violations:
+        raise ValidationError(f"invalid density matrix: {violations}")
+    elems.setflags(write=False)
+    return elems
 
 
 @dataclass(frozen=True)
@@ -328,6 +351,10 @@ class Mixture:
             raise ValidationError(f"mixture weights must sum to 1, got {math.fsum(weights)!r}")
         if any(not isinstance(s, FockVector) for s in states):
             raise ValidationError("mixture states must be FockVectors")
+        # the weights' sum and each norm may miss 1 by STATE_NORM_TOL, the trace by twice that
+        total = math.fsum(w * float(s.probabilities().sum()) for w, s in zip(weights, states))
+        if abs(total - 1.0) > TRACE_TOL:
+            raise ValidationError(f"mixture not normalized: sum w_c |psi_c|^2 = {total!r}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "states", states)
 

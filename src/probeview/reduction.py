@@ -165,13 +165,22 @@ def _kraus_factors(coeffs: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return amps[:, :size] * sliding_window_view(padded, size, axis=-1)
 
 
-def _gram(factors: np.ndarray, weights) -> np.ndarray:
+def _gram(factors: np.ndarray, weights, rows: int | None = None) -> np.ndarray:
     """(factors * weights) @ factors^dagger over the last two axes, diagonal exactly real.
 
-    ``factors`` is conjugated in place, not into a copy, to keep the peak memory down.
+    Rows of ``factors`` from ``rows`` on must be zero, so those rows of the
+    product are zero: they are left as zeros, and the multiplication forms
+    only the rows before them.  Its column count and inner dimension stay
+    those of the whole product, which BLAS blocks alike, so every element
+    formed equals the whole product's bit for bit (OpenBLAS; a product cut
+    to fewer columns moves last bits there).  ``factors`` is conjugated in
+    place, not into a copy, to keep the peak memory down.
     """
-    rho = (factors * weights) @ np.conjugate(factors, out=factors).swapaxes(-2, -1)
-    diag = np.arange(rho.shape[-1])
+    size = factors.shape[-2]
+    weighted = factors[..., :rows, :] * weights
+    rho = np.zeros(factors.shape[:-2] + (size, size), dtype=complex)
+    np.matmul(weighted, np.conjugate(factors, out=factors).swapaxes(-2, -1), out=rho[..., :rows, :])
+    diag = np.arange(size)
     rho.imag[..., diag, diag] = 0.0  # rounding leaves an imaginary part there
     return rho
 
@@ -188,15 +197,21 @@ def _reduced_elems(
     """sum_c w_c G_c G_c^dagger over the pure components c, as one matrix product.
 
     At q0 = 1 every G_c is psi_c in column 0 and zeros elsewhere, so the
-    result is exactly sum_c w_c psi_c psi_c^dagger.
+    result is exactly sum_c w_c psi_c psi_c^dagger.  The amplitude table's
+    rows from ``rows`` on, one past its last row with a nonzero entry,
+    underflowed to zero (131 of 257 at q0**2 = 1e-6), so _gram skips the
+    same rows of the product.  The last nonzero row is the test, not
+    column 0: row k can be zero at o = 0 and nonzero at larger o.
     """
     dim = max(state.dim for state in states)
     if split.q0 == 0.0:
         return _vacuum_stack(1, dim)[0]
     amps = _loss_amplitudes(dim, split)
+    # A[1, 0] = q0 > 0, so a cut leaves at least 2 rows: one row would take numpy's vector path
+    rows = dim - int(np.argmax(amps[::-1].any(axis=1)))
     factors = [_kraus_factors(state.coeffs, amps) for state in states]
     stacked = factors[0] if len(factors) == 1 else np.hstack(factors)
-    return _gram(stacked, np.repeat(weights, [state.dim for state in states]))
+    return _gram(stacked, np.repeat(weights, [state.dim for state in states]), rows)
 
 
 def reduce_pure_states(states: Sequence[FockVector], split: ModeSplit) -> np.ndarray:
@@ -249,7 +264,7 @@ def reduce_pure_general(psi: FockVector, split: ModeSplit) -> ReductionReport:
     """
     if not isinstance(psi, FockVector):
         raise ValidationError("input state must be a FockVector")
-    return ReductionReport(DensityMatrix(_reduced_elems((1.0,), (psi,), split)))
+    return ReductionReport(DensityMatrix._adopt(_reduced_elems((1.0,), (psi,), split), psi.dim))
 
 
 def reduce_mixed(family: Mixture, split: ModeSplit) -> ReductionReport:
@@ -260,7 +275,8 @@ def reduce_mixed(family: Mixture, split: ModeSplit) -> ReductionReport:
     """
     if not isinstance(family, Mixture):
         raise ValidationError("input must be a Mixture")
-    return ReductionReport(DensityMatrix(_reduced_elems(family.weights, family.states, split)))
+    elems = _reduced_elems(family.weights, family.states, split)
+    return ReductionReport(DensityMatrix._adopt(elems, sum(state.dim for state in family.states)))
 
 
 def reduce_coherent(alpha: complex, split: ModeSplit) -> Coherent:
@@ -324,7 +340,7 @@ def reduce_state(family: StateFamily, split: ModeSplit, policy: TruncationPolicy
         coeffs = materialize(reduce_coherent(family.alpha, split), policy).state.coeffs
         projector = np.outer(coeffs, coeffs.conj())
         np.fill_diagonal(projector.imag, 0.0)  # c * conj(c) can round to a nonzero imaginary part
-        return DensityMatrix(projector)
+        return DensityMatrix._adopt(projector, 1)
     if isinstance(family, Thermal):
         return materialize(reduce_thermal(family.beta_energy, split), policy).state
     if isinstance(family, FockVector):

@@ -762,6 +762,16 @@ class TestValidationExits:
         assert main(["reduce", "--state", state, "--q0sq", "0.5"]) == 2
         assert capsys.readouterr().err == f"error: {line}\n"
 
+    def test_mixture_off_its_total_norm_names_it(self, capsys):
+        # weights and norms each within 1e-10 of 1; the reduced trace would miss 1 by 1.8e-10
+        state = (
+            '{"family": "mixture", "weights": [0.500000000045, 0.500000000045], "states": '
+            '[{"family": "custom", "coeffs": [[1.000000000045, 0.0]]}, '
+            '{"family": "custom", "coeffs": [[0.0, 0.0], [1.000000000045, 0.0]]}]}'
+        )
+        assert main(["reduce", "--state", state, "--q0sq", "0.5", "--cutoff", "3"]) == 2
+        assert capsys.readouterr().err == "error: mixture not normalized: sum w_c |psi_c|^2 = 1.00000000018\n"
+
     def test_inv_betae_without_finite_reciprocal_names_the_flag(self, capsys):
         code = main(["sweep-thermal", "--inv-betae", "1e-310"])
         err = capsys.readouterr().err

@@ -29,6 +29,7 @@ from probeview import (
     partial_trace_numeric,
     random_fock_vectors,
     reduce_number_state,
+    reduce_mixed,
     reduce_pure_general,
     reduce_pure_states,
     reduce_state,
@@ -369,6 +370,15 @@ class TestGramCertificate:
         assert validate_density_matrix(stack) == []
         assert _violations(stack, gram_inner=1025) == []
 
+    @pytest.mark.parametrize("q0sq", _CERTIFICATE_Q0SQ)
+    def test_bound_holds_for_weighted_products(self, q0sq):
+        # a mixture's product is fl(G W) G^dagger: its bound carries the weights' rounding too
+        states = tuple(random_fock_vectors(1, n, seed=n)[0] for n in (40, 7, 2))
+        rho = reduce_mixed(Mixture((0.15, 0.35, 0.5), states), ModeSplit(q0sq)).rho0.elems
+        inner = sum(state.dim for state in states)
+        assert _lowest_eigenvalue(rho) >= -_gram_psd_bound(inner, 41, abs(np.trace(rho)))
+        assert validate_density_matrix(rho) == []
+
     def test_bound_sizes(self):
         # about gamma_{K+2} per unit of ||G||_F^2, far inside PSD_TOL at every accepted size
         assert 2e-15 < _gram_psd_bound(13, 13, 1.0) < 3e-15
@@ -423,6 +433,49 @@ class TestDensityMatrix:
             rho.elems[0, 0] = 1.0
 
 
+class TestAdopt:
+    """DensityMatrix._adopt wraps a fresh Gram product without a copy, behind the same gates."""
+
+    def test_wraps_the_same_buffer_read_only(self):
+        elems = reduce_pure_states(random_fock_vectors(1, 12, seed=3), ModeSplit(0.4))[0]
+        rho = DensityMatrix._adopt(elems, 13)
+        assert np.shares_memory(rho.elems, elems)
+        assert not rho.elems.flags.writeable
+        with pytest.raises(ValueError):
+            rho.elems[0, 0] = 1.0
+
+    def test_indefinite_matrix_behind_a_bound_that_cannot_clear_reaches_cholesky(self, monkeypatch):
+        cholesky = _recording(monkeypatch, "cholesky")
+        broken = np.diag([0.7, 0.45, -0.15]).astype(complex)
+        with pytest.raises(ValidationError, match="positive_semidefinite") as adopted:
+            DensityMatrix._adopt(broken, 2**52)
+        assert cholesky == [(3, 3)]
+        with pytest.raises(ValidationError) as public:
+            DensityMatrix(broken)
+        assert str(adopted.value) == str(public.value)
+
+    def test_trace_defect_raises_the_constructors_message(self):
+        elems = np.diag([0.6, 0.6]).astype(complex)
+        with pytest.raises(ValidationError) as public:
+            DensityMatrix(elems)
+        with pytest.raises(ValidationError) as adopted:
+            DensityMatrix._adopt(elems, 1)
+        assert str(adopted.value) == str(public.value)
+        assert str(adopted.value).startswith("invalid density matrix: [Violation(kind='trace'")
+
+    def test_kernel_results_run_no_cholesky(self, monkeypatch):
+        cholesky = _recording(monkeypatch, "cholesky")
+        eigvalsh = _recording(monkeypatch, "eigvalsh")
+        split = ModeSplit(1e-6)
+        reduce_pure_general(random_fock_vectors(1, 256, seed=5)[0], split)
+        reduce_mixed(Mixture((0.25, 0.75), tuple(random_fock_vectors(1, n, seed=n)[0] for n in (8, 64))), split)
+        reduce_state(Coherent(1.2 + 0.4j), split, TruncationPolicy(128))
+        assert cholesky == [] and eigvalsh == []
+        # the public constructor keeps the full gate
+        DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
+        assert cholesky == [(2, 2)]
+
+
 class TestFamilyValidation:
     def test_number_rejects_negative(self):
         with pytest.raises(ValidationError):
@@ -454,6 +507,23 @@ class TestFamilyValidation:
         # their sum would overflow math.fsum, which raises OverflowError of its own
         with pytest.raises(ValidationError, match="mixture weights"):
             Mixture((1e308, 1e308), states)
+
+    def test_mixture_rejects_a_total_norm_off_one(self):
+        # weights and norms each within STATE_NORM_TOL of 1, but sum w_c |psi_c|^2 is not
+        states = (FockVector([1.000000000045]), FockVector([0.0, 1.000000000045]))
+        with pytest.raises(ValidationError, match=r"mixture not normalized: sum w_c \|psi_c\|\^2 = 1\.00000000018$"):
+            Mixture((0.500000000045, 0.500000000045), states)
+
+    @pytest.mark.parametrize("excess", [-9e-11, 9e-11])
+    def test_mixture_near_the_norm_bound_reduces_and_materializes(self, excess):
+        # a mixture the constructor accepts has a reduced and a materialized trace within TRACE_TOL
+        weight = 0.5 * (1.0 + excess / 2.0)
+        norm = math.sqrt(1.0 + excess / 2.0)
+        mix = Mixture((weight, weight), (FockVector([norm]), FockVector([0.0, 0.0, norm])))
+        rho = reduce_mixed(mix, ModeSplit(0.5)).rho0
+        assert abs(complex(np.trace(rho.elems)) - 1.0) <= 1e-10
+        assert validate_density_matrix(rho) == []
+        assert validate_density_matrix(materialize(mix, TruncationPolicy(4)).state) == []
 
     def test_mixture_keeps_weight_within_tolerance_of_one(self):
         mix = Mixture((1.0 + 5e-11,), (number_vector(0),))

@@ -36,7 +36,7 @@ from probeview import (
     reduce_thermal,
     validate_density_matrix,
 )
-from probeview.reduction import _binomial_diagonals
+from probeview.reduction import _binomial_diagonals, _gram, _kraus_factors, _loss_amplitudes
 
 # fixed-seed random amplitudes for property checks
 _RNG = np.random.default_rng(20240816)
@@ -335,12 +335,14 @@ def _mp_element(psi: np.ndarray, q0sq: float, i: int, j: int) -> complex:
 
 
 class TestKernelLargeN:
-    # parametrized, not hypothesis: each reduction at N = 1024, with its
-    # Cholesky-certified DensityMatrix check, takes a few tenths of a second
+    # parametrized, not hypothesis: each reduction at N = 1024 takes about a
+    # tenth of a second, and the full gate on it as long again
     @pytest.mark.parametrize("support", [256, 1024])
     @pytest.mark.parametrize("q0sq", _LARGE_Q0SQ)
     def test_trace_and_mean_occupation(self, support, q0sq):
         psi, rho = _large_reduction(support, q0sq)
+        # the result was gated by its Gram rounding bound; the public Cholesky gate agrees
+        assert validate_density_matrix(rho.elems) == []
         assert rho.dim == support + 1
         assert abs(complex(np.trace(rho.elems)) - 1.0) <= 1e-10
         expected = q0sq * number_expectation(psi)
@@ -359,6 +361,47 @@ class TestKernelLargeN:
         for i, j in [(0, 0), (0, 1), (2, 7), (40, 41), (300, 333)]:
             expected = _mp_element(psi.coeffs, q0sq, i, j)
             assert abs(rho.elems[i, j] - expected) <= 1e-13
+
+
+def _unskipped(states, weights, split):
+    """sum_c w_c G_c G_c^dagger as one product over every row of the amplitude table."""
+    amps = _loss_amplitudes(max(state.dim for state in states), split)
+    stacked = np.hstack([_kraus_factors(state.coeffs, amps) for state in states])
+    return _gram(stacked, np.repeat(weights, [state.dim for state in states]))
+
+
+class TestZeroRowSkip:
+    """Amplitude rows that underflowed to zero are left out of the product, with the same bits."""
+
+    @pytest.mark.parametrize("q0sq", [1e-300, 1e-6])
+    @pytest.mark.parametrize("dim", [257, 1025])
+    def test_pure_matches_the_whole_product(self, dim, q0sq):
+        split = ModeSplit(q0sq)
+        psi = _seeded_state(dim, dim + 3)
+        amps = _loss_amplitudes(dim, split)
+        rows = 1 + int(np.flatnonzero(amps.any(axis=1))[-1])
+        assert rows < dim
+        rho = reduce_pure_general(psi, split).rho0.elems
+        # array_equal counts -0.0 equal to 0.0
+        assert np.array_equal(rho, _unskipped((psi,), (1.0,), split))
+        assert not np.any(rho[rows:]) and not np.any(rho[:, rows:])
+
+    @pytest.mark.parametrize("q0sq", [1e-300, 1e-6])
+    def test_mixture_with_unequal_supports_matches_the_whole_product(self, q0sq):
+        weights = (0.2, 0.5, 0.3)
+        states = tuple(_seeded_state(dim, dim) for dim in (257, 40, 3))
+        split = ModeSplit(q0sq)
+        rho = reduce_mixed(Mixture(weights, states), split).rho0.elems
+        assert np.array_equal(rho, _unskipped(states, weights, split))
+
+    def test_a_row_zero_in_column_0_is_kept(self):
+        # at q0**2 = 1e-6 and dim 257, A[k, 0] is zero from row 108 on, but rows up to 125
+        # are nonzero further right; cutting at column 0's support would lose them
+        amps = _loss_amplitudes(257, ModeSplit(1e-6))
+        assert 1 + int(np.flatnonzero(amps[:, 0])[-1]) < 1 + int(np.flatnonzero(amps.any(axis=1))[-1]) == 126
+        psi = _seeded_state(257, 11)
+        rho = reduce_pure_general(psi, ModeSplit(1e-6)).rho0.elems
+        assert np.any(rho[108:])  # subnormal entries, as far as row 119 for this state
 
 
 def _oracle_reduction(states, weights, split, dim):
